@@ -9,16 +9,39 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 
 import numpy as np
 
 from . import codec, design, sim
-from .graphs import sample_graph
+from .graphs import MAX_PROFILE_DEGREE, sample_graph
 
 TABLE_D_RANGE = {1: range(2, 19), 2: range(2, 18), 3: range(2, 18)}
 COMPARE_DEFAULT_D = {1: 18, 2: 17, 3: 17}
+
+
+class UsageError(Exception):
+    """Parameter values a command cannot run with (exit code 2)."""
+
+
+def _require(ok, message):
+    if not ok:
+        raise UsageError(message)
+
+
+def _check_d(args):
+    _require(2 <= args.d <= MAX_PROFILE_DEGREE, f"--d {args.d} outside [2, {MAX_PROFILE_DEGREE}]")
+
+
+def _check_plan_args(args):
+    _check_d(args)
+    _require(1 <= args.K < args.N, f"need 1 <= K < N, got --K {args.K} --N {args.N}")
+    _require(
+        math.isfinite(args.margin) and args.margin >= 1.0,
+        f"--margin {args.margin} must be a finite number >= 1",
+    )
 
 
 def _load_json(path):
@@ -47,17 +70,20 @@ def _pick_seed(args):
 
 
 def cmd_design(args):
+    _check_d(args)
     res = design.optimize_design(args.t, args.d)
     _emit(json.dumps(res.to_dict(), indent=2) + "\n", args.out)
 
 
 def cmd_plan(args):
+    _check_plan_args(args)
     res = design.optimize_design(args.t, args.d)
     plan = design.make_plan(args.N, args.K, res, margin=args.margin)
     _emit(json.dumps(plan.to_dict(), indent=2) + "\n", args.out)
 
 
 def cmd_gen(args):
+    _check_plan_args(args)
     seed = _pick_seed(args)
     res = design.optimize_design(args.t, args.d)
     if args.M is not None and args.r is not None:
@@ -92,6 +118,9 @@ def cmd_decode(args):
 
 
 def cmd_simulate(args):
+    _check_plan_args(args)
+    _require(args.trials >= 1, f"--trials {args.trials} must be at least 1")
+    _require(args.jobs >= 1, f"--jobs {args.jobs} must be at least 1")
     seed = _pick_seed(args)
     config = sim.TrialConfig(
         N=args.N,
@@ -133,7 +162,12 @@ def cmd_tables(args):
 
 
 def cmd_compare(args):
-    K_values = [int(v) for v in args.K_list.split(",")]
+    try:
+        K_values = [int(v) for v in args.K_list.split(",")]
+    except ValueError:
+        raise UsageError(f"--K-list {args.K_list!r} is not a comma-separated list of integers") from None
+    for K in K_values:
+        _require(1 < K < args.N, f"need 1 < K < N, got K={K} in --K-list, --N {args.N}")
     designs = {t: design.optimize_design(t, COMPARE_DEFAULT_D[t]) for t in (1, 2, 3)}
     lines = ["K,m_t1,m_t2,m_t3,m_regular,m_greedy"]
     for K in K_values:
@@ -226,7 +260,7 @@ def main(argv=None) -> int:
     except codec.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (design.Infeasible, design.OutOfRegime) as exc:
+    except (UsageError, design.Infeasible, design.OutOfRegime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

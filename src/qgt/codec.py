@@ -104,7 +104,10 @@ class TestPlan:
             graph = BipartiteGraph(N, M, r, np.asarray(adj, dtype=np.int64))
         except ValueError as exc:
             raise FormatError(f"bad adjacency: {exc}") from exc
-        sig = build_signature(t, r)
+        try:
+            sig = build_signature(t, r)
+        except ValueError as exc:
+            raise FormatError(f"bad plan parameters: {exc}") from exc
         return cls(graph, sig, seed=seed)
 
 

@@ -75,12 +75,18 @@ class BipartiteGraph:
         self.right_adj = right_adj
 
         flat = right_adj.ravel()
-        order = np.argsort(flat, kind="stable")
+        n = flat.size
+        if int(N) * n >= 2**63:
+            raise ValueError(f"{N} items x {n} entries overflow the int64 sort keys")
+        # keys item*n + slot are distinct and sort by item, then slot, so the
+        # sorted slots are exactly the stable argsort of flat
+        keys = flat * n
+        keys += np.arange(n, dtype=np.int64)
+        keys.sort()
+        np.remainder(keys, n, out=keys)
         self.left_ptr = np.zeros(N + 1, dtype=np.int64)
-        np.add.at(self.left_ptr, flat + 1, 1)
-        np.cumsum(self.left_ptr, out=self.left_ptr)
-        self.left_node = (order // r).astype(np.int64)
-        self.left_pos = (order % r).astype(np.int64)
+        np.cumsum(np.bincount(flat, minlength=N), out=self.left_ptr[1:])
+        self.left_node, self.left_pos = np.divmod(keys, r)
 
     def degree(self, v: int) -> int:
         return int(self.left_ptr[v + 1] - self.left_ptr[v])

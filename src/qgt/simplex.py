@@ -31,114 +31,116 @@ class LPResult:
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
     piv = T[row]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * piv
+    # rank-1 update of the rows with a nonzero factor only: each touched
+    # element gets the same multiply and subtract as a row-by-row loop, and
+    # skipped rows keep their bits (subtracting a signed zero could flip -0.0)
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    np.subtract(T, factors[:, None] * piv, out=T, where=(factors != 0.0)[:, None])
     basis[row] = col
 
 
-def _run_phase(T, basis, allowed):
+def _leaving_row(col, rhs, basis):
+    """Bland ratio test: the row of least rhs/col over col > _TOL, where
+    ratios within _TOL of the running best go to the lower basic index.
+
+    The running best can drift within the tolerance, so ties are settled by
+    the sequential scan.  When the minimum is isolated (every other ratio r
+    has min < r - _TOL and |r - min| > _TOL, the two tests the scan makes)
+    the scan provably ends on it and is skipped.
+    """
+    cand = (col > _TOL).nonzero()[0]
+    if cand.size == 0:
+        return None
+    ratios = rhs[cand] / col[cand]
+    k = int(ratios.argmin())
+    r_min = ratios[k]
+    isolated = (r_min < ratios - _TOL) & (np.abs(ratios - r_min) > _TOL)
+    isolated[k] = True
+    if r_min == r_min and isolated.all():
+        return int(cand[k])
+    best = None
+    for i, ratio in zip(cand.tolist(), ratios.tolist()):
+        if best is None or ratio < best[0] - _TOL or (
+            abs(ratio - best[0]) <= _TOL and basis[i] < basis[best[1]]
+        ):
+            best = (ratio, i)
+    return best[1]
+
+
+def _run_phase(T, basis, n_allowed):
+    """Pivot until optimal; only columns 0..n_allowed-1 may enter."""
     m = T.shape[0] - 1
     while True:
-        obj = T[-1, :-1]
-        enter = -1
-        for j in allowed:
-            if obj[j] < -_TOL:
-                enter = j
-                break
-        if enter < 0:
+        improving = T[-1, :n_allowed] < -_TOL
+        enter = int(improving.argmax())
+        if not improving[enter]:
             return "optimal"
-        col = T[:m, enter]
-        rhs = T[:m, -1]
-        best = None
-        for i in range(m):
-            if col[i] > _TOL:
-                ratio = rhs[i] / col[i]
-                if best is None or ratio < best[0] - _TOL or (
-                    abs(ratio - best[0]) <= _TOL and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
-        if best is None:
+        row = _leaving_row(T[:m, enter], T[:m, -1], basis)
+        if row is None:
             return "unbounded"
-        _pivot(T, basis, best[1], enter)
+        _pivot(T, basis, row, enter)
+
+
+def _stack(A, b, n, kind):
+    if A is None:
+        return np.zeros((0, n)), np.zeros(0)
+    A = np.asarray(A, dtype=float).reshape(-1, n)
+    b = np.asarray(b, dtype=float).ravel()
+    if b.size != A.shape[0]:
+        raise ValueError(f"{kind} constraints: {A.shape[0]} rows but {b.size} right-hand sides")
+    return A, b
 
 
 def simplex_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     c = np.asarray(c, dtype=float)
     n = c.size
-    rows = []
-    rhs = []
-    kinds = []
-    if A_ub is not None:
-        A_ub = np.asarray(A_ub, dtype=float).reshape(-1, n)
-        b_ub = np.asarray(b_ub, dtype=float).ravel()
-        for row, b in zip(A_ub, b_ub):
-            rows.append(row)
-            rhs.append(b)
-            kinds.append("ub")
-    if A_eq is not None:
-        A_eq = np.asarray(A_eq, dtype=float).reshape(-1, n)
-        b_eq = np.asarray(b_eq, dtype=float).ravel()
-        for row, b in zip(A_eq, b_eq):
-            rows.append(row)
-            rhs.append(b)
-            kinds.append("eq")
-    m = len(rows)
+    A_ub, b_ub = _stack(A_ub, b_ub, n, "inequality")
+    A_eq, b_eq = _stack(A_eq, b_eq, n, "equality")
+    n_slack = A_ub.shape[0]
+    m = n_slack + A_eq.shape[0]
     if m == 0:
         raise ValueError("no constraints")
+    n_real = n + n_slack
 
-    n_slack = sum(1 for k in kinds if k == "ub")
-    # slack coefficient becomes -1 after a sign flip, so such rows still need
-    # an artificial; count them after normalizing signs
-    A = np.zeros((m, n + n_slack), dtype=float)
-    b = np.zeros(m, dtype=float)
-    slack_of = {}
-    si = 0
-    for i, (row, bv, kind) in enumerate(zip(rows, rhs, kinds)):
-        A[i, :n] = row
-        b[i] = bv
-        if kind == "ub":
-            A[i, n + si] = 1.0
-            slack_of[i] = n + si
-            si += 1
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-    need_art = [i for i in range(m) if not (i in slack_of and A[i, slack_of[i]] > 0)]
-    n_art = len(need_art)
-    total = n + n_slack + n_art
+    b = np.concatenate([b_ub, b_eq])
+    flip = b < 0
+    flipped = np.flatnonzero(flip)
+    # a flipped slack has coefficient -1 and cannot start the basis, so
+    # flipped inequalities need an artificial just like equalities
+    need_art = np.flatnonzero(flip | (np.arange(m) >= n_slack))
+    n_art = need_art.size
+    total = n_real + n_art
 
+    # rows: inequalities (each with its own slack column), then equalities
     T = np.zeros((m + 1, total + 1), dtype=float)
-    T[:m, : n + n_slack] = A
+    T[:n_slack, :n] = A_ub
+    T[n_slack:m, :n] = A_eq
+    T[np.arange(n_slack), n + np.arange(n_slack)] = 1.0
     T[:m, -1] = b
-    basis = [0] * m
-    for i in range(m):
-        if i in need_art:
-            j = n + n_slack + need_art.index(i)
-            T[i, j] = 1.0
-            basis[i] = j
-        else:
-            basis[i] = slack_of[i]
+    T[flipped, :n_real] *= -1.0
+    T[flipped, -1] *= -1.0
+    basis_arr = n + np.arange(m)
+    basis_arr[need_art] = n_real + np.arange(n_art)
+    T[need_art, basis_arr[need_art]] = 1.0
+    basis = basis_arr.tolist()
 
     # phase 1: minimize the artificial sum
     if n_art:
-        T[-1, n + n_slack : total] = 1.0
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                T[-1] -= T[i]
-        status = _run_phase(T, basis, range(n + n_slack))
+        T[-1, n_real:total] = 1.0
+        # one row at a time: a single summed subtraction would round differently
+        for i in need_art.tolist():
+            T[-1] -= T[i]
+        status = _run_phase(T, basis, n_real)
         if status != "optimal" or -T[-1, -1] > 1e-7:
             return LPResult("infeasible", None, None)
         # pivot leftover artificials out of the basis where possible; a row
         # with no real coefficients left is redundant and stays inert
         for i in range(m):
-            if basis[i] >= n + n_slack:
-                j = next(
-                    (jj for jj in range(n + n_slack) if abs(T[i, jj]) > _TOL),
-                    None,
-                )
-                if j is not None:
-                    _pivot(T, basis, i, j)
+            if basis[i] >= n_real:
+                nonzero = np.flatnonzero(np.abs(T[i, :n_real]) > _TOL)
+                if nonzero.size:
+                    _pivot(T, basis, i, int(nonzero[0]))
 
     # phase 2 on the true objective; artificial columns may not re-enter
     T[-1] = 0.0
@@ -146,10 +148,9 @@ def simplex_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     for i in range(m):
         if T[-1, basis[i]] != 0.0:
             T[-1] -= T[-1, basis[i]] * T[i]
-    status = _run_phase(T, basis, range(n + n_slack))
+    status = _run_phase(T, basis, n_real)
     if status != "optimal":
         return LPResult(status, None, None)
     x = np.zeros(total, dtype=float)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
+    x[basis] = T[:m, -1]
     return LPResult("optimal", x[:n], float(T[-1, -1] * -1.0))

@@ -114,6 +114,30 @@ def test_out_of_regime_plan_exits_2(capsys):
     assert cli.main(["plan", "--t", "1", "--d", "3", "--N", "10", "--K", "9"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--t", "1", "--d", "3", "--N", "1000", "--K", "0"],
+        ["plan", "--t", "1", "--d", "3", "--N", "1000", "--K", "10", "--margin", "0.5"],
+        ["design", "--t", "2", "--d", "40"],
+        ["compare", "--N", "1000", "--K-list", "1,5000"],
+        ["simulate", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--trials", "0"],
+    ],
+)
+def test_bad_parameters_exit_2_with_one_line(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_plan_file_with_bad_t_exits_1(tmp_path, capsys):
+    plan_file = write(tmp_path / "plan.json", dict(example_plan().to_dict(), t=9))
+    support_file = write(tmp_path / "support.json", {"version": 1, "N": 14, "defective": [4]})
+    assert cli.main(["encode", "--plan", plan_file, "--support", support_file]) == 1
+    assert capsys.readouterr().err.startswith("error: bad plan parameters")
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = cli.main(["decode", "--plan", str(tmp_path / "nope.json"),
                    "--results", str(tmp_path / "nope2.json")])

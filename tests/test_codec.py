@@ -207,6 +207,9 @@ def test_plan_format_errors():
     bad = dict(good, right_adj=[[0, 1], [1, 2]])
     with pytest.raises(FormatError):
         TestPlan.from_dict(bad)
+    for t in (0, 9):
+        with pytest.raises(FormatError, match="capability"):
+            TestPlan.from_dict(dict(good, t=t))
 
 
 def test_support_roundtrip_one_based():

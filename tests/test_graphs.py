@@ -52,6 +52,26 @@ def test_bipartite_graph_incidence_structure():
     assert int(hist @ np.arange(hist.size)) == 21
 
 
+def _stable_argsort_csr(N, r, right_adj):
+    flat = right_adj.ravel()
+    order = np.argsort(flat, kind="stable")
+    ptr = np.zeros(N + 1, dtype=np.int64)
+    np.add.at(ptr, flat + 1, 1)
+    np.cumsum(ptr, out=ptr)
+    return ptr, order // r, order % r
+
+
+def test_left_csr_matches_stable_argsort():
+    p = profile_from_lambda(4, [0.0, 0.3, 0.4, 0.3])
+    graphs = [BipartiteGraph(14, 3, 7, EXAMPLE_ADJ), BipartiteGraph(6, 0, 3, np.zeros((0, 3)))]
+    graphs += [sample_graph(N, M, r, p, seed=N + M) for N, M, r in [(50, 20, 7), (300, 40, 21), (2000, 90, 60)]]
+    for g in graphs:
+        ptr, node, pos = _stable_argsort_csr(g.N, g.r, g.right_adj)
+        for got, want in [(g.left_ptr, ptr), (g.left_node, node), (g.left_pos, pos)]:
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
 def test_bipartite_graph_validation():
     with pytest.raises(ValueError):
         BipartiteGraph(14, 3, 7, EXAMPLE_ADJ[:, ::-1])  # descending rows
