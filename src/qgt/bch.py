@@ -79,13 +79,10 @@ class ParityCheckMatrix:
             out.append(acc)
         return out
 
-    def syndrome_of(self, positions) -> np.ndarray:
-        """Binary syndrome (length t*q) of the given column positions."""
-        bits = np.zeros(self.num_rows, dtype=np.uint8)
-        for k, s in enumerate(self.block_syndromes(positions)):
-            for j in range(self.q):
-                bits[k * self.q + j] = (s >> j) & 1
-        return bits
+
+def field_degree(r: int) -> int:
+    """Degree q = ceil(log2(r + 1)) of the smallest field with r nonzero elements."""
+    return r.bit_length()
 
 
 def build_parity_check(t: int, r: int) -> ParityCheckMatrix:
@@ -94,9 +91,7 @@ def build_parity_check(t: int, r: int) -> ParityCheckMatrix:
         raise ValueError(f"correction capability t={t} outside [1, {MAX_CORRECTION}]")
     if r < 3:
         raise ValueError(f"need at least 3 columns, got r={r}")
-    q = r.bit_length()  # ceil(log2(r + 1))
-    field = make_field(q)
-    return ParityCheckMatrix(field, t, r)
+    return ParityCheckMatrix(make_field(field_degree(r)), t, r)
 
 
 def _pack_blocks(pcm: ParityCheckMatrix, bits: np.ndarray) -> list[int]:

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 malformed input files, 2 infeasible or out-of-regime
-parameters.  Items are 1-indexed at this boundary and in all files; the
-library itself is 0-indexed.
+Exit codes: 0 success, 1 malformed input files or a decode that did not
+fully recover, 2 invalid, infeasible or out-of-regime parameters.  Items are
+1-indexed at this boundary and in all files; the library itself is 0-indexed.
 """
 
 from __future__ import annotations
@@ -84,15 +84,21 @@ def cmd_plan(args):
 
 def cmd_gen(args):
     _check_plan_args(args)
+    _require((args.M is None) == (args.r is None), "--M and --r must be given together")
+    _require(args.M is None or min(args.M, args.r) >= 1, f"--M {args.M} and --r {args.r} must be at least 1")
     seed = _pick_seed(args)
     res = design.optimize_design(args.t, args.d)
-    if args.M is not None and args.r is not None:
-        M, r = args.M, args.r
-    else:
+    if args.M is None:
         plan = design.make_plan(args.N, args.K, res, margin=args.margin)
         M, r = plan.M, plan.r
-    graph = sample_graph(args.N, M, r, res.profile, seed)
-    test_plan = codec.TestPlan(graph, codec.build_signature(args.t, r), seed=seed)
+    else:
+        M, r = args.M, args.r
+    try:
+        graph = sample_graph(args.N, M, r, res.profile, seed)
+        signature = codec.build_signature(args.t, r)
+    except ValueError as exc:
+        raise UsageError(f"--M {M} --r {r}: {exc}") from None
+    test_plan = codec.TestPlan(graph, signature, seed=seed)
     _emit(json.dumps(test_plan.to_dict()) + "\n", args.out)
 
 
@@ -107,6 +113,10 @@ def cmd_encode(args):
 
 
 def cmd_decode(args):
+    _require(
+        args.max_iterations is None or args.max_iterations >= 1,
+        f"--max-iterations {args.max_iterations} must be at least 1",
+    )
     plan = codec.TestPlan.from_dict(_load_json(args.plan))
     results = codec.TestResults.from_dict(
         _load_json(args.results), plan.M, plan.signature.s
@@ -121,6 +131,13 @@ def cmd_simulate(args):
     _check_plan_args(args)
     _require(args.trials >= 1, f"--trials {args.trials} must be at least 1")
     _require(args.jobs >= 1, f"--jobs {args.jobs} must be at least 1")
+    m_values = None
+    if args.m:
+        try:
+            m_values = [int(v) for v in args.m.split(",")]
+        except ValueError:
+            raise UsageError(f"--m {args.m!r} is not a comma-separated list of integers") from None
+        _require(all(m >= 1 for m in m_values), f"--m {args.m!r} must list positive budgets")
     seed = _pick_seed(args)
     config = sim.TrialConfig(
         N=args.N,
@@ -133,8 +150,7 @@ def cmd_simulate(args):
         jobs=args.jobs,
     )
     lines = [sim.CSV_HEADER]
-    if args.m:
-        m_values = [int(v) for v in args.m.split(",")]
+    if m_values:
         for report in sim.run_sweep(config, m_values):
             lines.append(report.csv_row())
     else:

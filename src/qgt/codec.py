@@ -7,8 +7,9 @@ number of its defective members and, mod 2, their BCH syndrome.  The full
 m x N measurement matrix is never materialized.
 
 Decoding peels: any pool whose residual count is at most t is resolved by BCH
-syndrome decoding, the identified items' signature columns are subtracted from
-their other pools, and the process repeats until nothing changes.  Pool
+syndrome decoding, once the located columns account for its whole residual
+block; the identified items' signature columns are subtracted from their
+other pools, and the process repeats until nothing changes.  Pool
 eligibility within a pass is fixed by the counts at the start of the pass, so
 the pass index matches the round-by-round schedule that density evolution
 tracks; subtractions themselves are applied immediately.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bch import DecodeFailure, ParityCheckMatrix, build_parity_check, syndrome_decode
+from .bch import DecodeFailure, ParityCheckMatrix, build_parity_check, field_degree, syndrome_decode
 from .graphs import BipartiteGraph
 
 PLAN_FORMAT_VERSION = 1
@@ -42,10 +43,15 @@ class SignatureMatrix:
     parity: ParityCheckMatrix = field(repr=False)
 
 
+def tests_per_pool(t: int, r: int) -> int:
+    """Measurements s = t*q + 1 per pool: the count plus t parity blocks of q bits."""
+    return t * field_degree(r) + 1
+
+
 def build_signature(t: int, r: int) -> SignatureMatrix:
     pcm = build_parity_check(t, r)
     mat = np.vstack([np.ones((1, r), dtype=np.uint8), pcm.rows])
-    return SignatureMatrix(t=t, q=pcm.q, s=pcm.num_rows + 1, r=r, matrix=mat, parity=pcm)
+    return SignatureMatrix(t=t, q=pcm.q, s=tests_per_pool(t, r), r=r, matrix=mat, parity=pcm)
 
 
 class TestPlan:
@@ -71,10 +77,6 @@ class TestPlan:
     def r(self) -> int:
         return self.graph.r
 
-    @property
-    def num_tests(self) -> int:
-        return self.graph.M * self.signature.s
-
     def to_dict(self) -> dict:
         return {
             "version": PLAN_FORMAT_VERSION,
@@ -98,7 +100,7 @@ class TestPlan:
             raise FormatError(f"bad plan object: {exc}") from exc
         if version != PLAN_FORMAT_VERSION:
             raise FormatError(f"unknown plan format version {version}")
-        if q != r.bit_length():
+        if q != field_degree(r):
             raise FormatError(f"stored q={q} inconsistent with r={r}")
         try:
             graph = BipartiteGraph(N, M, r, np.asarray(adj, dtype=np.int64))
@@ -219,9 +221,11 @@ def peel_decode(
     """Iterative peeling recovery.
 
     Each pass resolves the pools whose residual count was <= t when the pass
-    started: count 0 is trivially done, otherwise the residual parity rows are
-    syndrome-decoded and the located items subtracted from all their pools.
-    A DecodeFailure leaves the pool unresolved for a later retry.  The decoder
+    started: the residual parity rows are syndrome-decoded and the located
+    items subtracted from all their pools.  A pool is resolved only when that
+    leaves its whole residual block at zero, so measurements no support can
+    produce are never reported as recovered.  A DecodeFailure or such a
+    mismatch leaves the pool unresolved for a later retry.  The decoder
     stops when a pass makes no progress or after max_iterations passes
     (default M + 1, which never truncates a productive run).
     """
@@ -250,14 +254,16 @@ def peel_decode(
         newly = 0
         progress = False
         for n in eligible.tolist():
-            if resolved[n]:
-                continue
             v = int(Y[n, 0])
             if v < 0:
                 # only possible on inconsistent input; the pool can never
                 # become valid again, so leave it for the failure accounting
                 continue
             if v == 0:
+                if Y[n, 1:].any():
+                    # parity residue with no defective left: no support fits
+                    next_active.add(n)
+                    continue
                 resolved[n] = True
                 progress = True
                 continue
@@ -267,8 +273,9 @@ def peel_decode(
                 next_active.add(n)
                 continue
             items = g.right_adj[n, positions]
-            if is_defective_found[items].any():
-                # residuals inconsistent with earlier peels; treat like a failure
+            # the syndrome matches mod 2 only: the located columns must also sum
+            # to the residual exactly, and none of them may be peeled already
+            if is_defective_found[items].any() or (Y[n, 1:] != U[1:, positions].sum(axis=1)).any():
                 next_active.add(n)
                 continue
             for item in items.tolist():

@@ -23,7 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import DegreeProfile, profile_from_lambda
+from .bch import field_degree
+from .codec import tests_per_pool
+from .gf2m import MAX_DEGREE
+from .graphs import MAX_PROFILE_DEGREE, DegreeProfile, profile_from_lambda
 from .simplex import simplex_solve
 
 DEFAULT_PHI_GRID = np.logspace(-6.0, 0.0, 500)
@@ -32,7 +35,6 @@ LOAD_SCAN_START = 0.05
 LOAD_SCAN_STEP = 0.02
 LOAD_SCAN_CAP = 40.0
 LOAD_REFINE_TOL = 1e-4
-MAX_FIELD_DEGREE_Q = 20
 
 
 class Infeasible(Exception):
@@ -41,19 +43,6 @@ class Infeasible(Exception):
 
 class OutOfRegime(ValueError):
     """Parameters outside the regime the construction supports."""
-
-
-@dataclass
-class DEParams:
-    """Finite-size recursion parameters: capability t, defect rate, pool size."""
-
-    t: int
-    gamma: float
-    r: int
-
-    @property
-    def load(self) -> float:
-        return self.r * self.gamma
 
 
 def _pois_upper(t: int, x):
@@ -76,42 +65,6 @@ def _pois_upper(t: int, x):
         term = term * xs / (k + 1)
     out = np.where(x < 0.5, np.exp(-xs) * tail, exact)
     return np.clip(out, 0.0, 1.0)
-
-
-def _binom_upper(k_max: int, n: int, p: float) -> float:
-    """P(Binomial(n, p) > k_max), with a direct tail sum when cancellation looms."""
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    lower = 0.0
-    for k in range(k_max + 1):
-        lower += math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-    sv = 1.0 - lower
-    if sv > 1e-6:
-        return sv
-    total = 0.0
-    for k in range(k_max + 1, min(n, k_max + 80) + 1):
-        total += math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-    return total
-
-
-def de_step_exact(p: float, params: DEParams, profile: DegreeProfile) -> float:
-    """One round of the finite-pool-size recursion on the joint probability p.
-
-    p is the probability that a random item is defective and still
-    unidentified; the step returns the same quantity one peeling round later,
-    under the usual tree-neighborhood approximation with pools of exactly r
-    items.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability p={p} outside [0, 1]")
-    unresolved = _binom_upper(params.t - 1, params.r - 1, p)
-    acc = 0.0
-    for i, lam_i in enumerate(profile.lam, start=1):
-        if lam_i:
-            acc += lam_i * unresolved ** (i - 1)
-    return params.gamma * acc
 
 
 def de_step_poisson(phi: float, load: float, t: int, profile: DegreeProfile) -> float:
@@ -150,15 +103,10 @@ def de_poisson_trajectory(profile: DegreeProfile, load: float, t: int, rounds: i
     return phis, unid
 
 
-def lp_optimize_profile(
-    t: int,
-    d: int,
-    load: float,
-    phi_grid=None,
-    margin: float = DE_MARGIN,
-) -> tuple[DegreeProfile, float]:
+def lp_optimize_profile(t: int, d: int, load: float) -> tuple[DegreeProfile, float]:
     """Best profile at a fixed load: min -load * sum_i lambda_i / i subject to
-    one contraction constraint per grid point.
+    one contraction constraint, with margin DE_MARGIN, per point of
+    DEFAULT_PHI_GRID.
 
     Only a handful of grid constraints bind at the optimum, so the LP is
     solved on a growing active subset and the result is certified against the
@@ -175,12 +123,12 @@ def lp_optimize_profile(
         raise Infeasible(f"max degree d={d} below minimum usable degree {lo} at t={t}")
     if load <= 0:
         raise ValueError("load must be positive")
-    grid = DEFAULT_PHI_GRID if phi_grid is None else np.asarray(phi_grid, dtype=float)
+    grid = DEFAULT_PHI_GRID
     unresolved = _pois_upper(t, load * grid)
     # rows scaled by 1/phi: sum_i lambda_i * u^(i-1) / phi <= 1 - margin
     powers = np.arange(lo - 1, d, dtype=float)  # i - 1 for i = lo..d
     A_full = unresolved[:, None] ** powers[None, :] / grid[:, None]
-    limit = 1.0 - margin
+    limit = 1.0 - DE_MARGIN
     cost = -load / np.arange(lo, d + 1, dtype=float)
     A_eq = np.ones((1, d - lo + 1))
 
@@ -249,8 +197,8 @@ def optimize_design(t: int, d: int) -> DesignResult:
     """
     if not 1 <= t <= 4:
         raise OutOfRegime(f"capability t={t} outside [1, 4]")
-    if not 2 <= d <= 32:
-        raise ValueError(f"max degree d={d} outside [2, 32]")
+    if not 2 <= d <= MAX_PROFILE_DEGREE:
+        raise ValueError(f"max degree d={d} outside [2, {MAX_PROFILE_DEGREE}]")
     if t == 1 and d < 3:
         raise Infeasible("degree-2 items stall single-error pools; need d >= 3 at t=1")
     # raising the load tightens every contraction constraint, so the feasible
@@ -259,22 +207,20 @@ def optimize_design(t: int, d: int) -> DesignResult:
     best_i = -1
     best_f = math.inf
     load = LOAD_SCAN_START
-    loads = []
     while load <= LOAD_SCAN_CAP:
         f, _ = _objective_at(t, d, load)
         if not math.isfinite(f):
             break
-        loads.append(load)
         trace.append((load, f))
         if f < best_f:
             best_f = f
-            best_i = len(loads) - 1
+            best_i = len(trace) - 1
         load = round(load + LOAD_SCAN_STEP, 10)
-    if best_i < 0 or not math.isfinite(best_f):
+    if not trace:
         raise Infeasible(f"no feasible load for t={t}, d={d}")
 
-    lo = loads[max(best_i - 1, 0)]
-    hi = loads[min(best_i + 1, len(loads) - 1)]
+    lo = trace[max(best_i - 1, 0)][0]
+    hi = trace[min(best_i + 1, len(trace) - 1)][0]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
@@ -295,7 +241,7 @@ def optimize_design(t: int, d: int) -> DesignResult:
     if profile is None:
         # golden section collapsed onto the feasibility edge; back off to the
         # best scanned point
-        load_star = float(loads[best_i])
+        load_star = float(trace[best_i][0])
         f_star, profile = _objective_at(t, d, load_star)
     return DesignResult(
         t=t,
@@ -365,10 +311,10 @@ def make_plan(N: int, K: int, design: DesignResult, margin: float = 1.0) -> Plan
         raise OutOfRegime(
             f"K={K} too close to N={N}: no feasible pool size (wanted r={r}, M={M})"
         )
-    q = r.bit_length()
-    if q > MAX_FIELD_DEGREE_Q:
-        raise OutOfRegime(f"pool size r={r} needs field degree {q} > {MAX_FIELD_DEGREE_Q}")
-    s = design.t * q + 1
+    q = field_degree(r)
+    if q > MAX_DEGREE:
+        raise OutOfRegime(f"pool size r={r} needs field degree {q} > {MAX_DEGREE}")
+    s = tests_per_pool(design.t, r)
     return Plan(
         N=N,
         K=K,

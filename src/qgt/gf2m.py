@@ -111,14 +111,6 @@ class FieldContext:
             return 0
         return int(self.antilog[(self.log[a] - self.log[b]) % self.order])
 
-    def trace(self, a: int) -> int:
-        acc = a
-        x = a
-        for _ in range(self.q - 1):
-            x = self.sqr(x)
-            acc ^= x
-        return acc
-
     def solve_quadratic(self, c: int):
         """One solution z of z^2 + z = c, or None when no solution exists.
 

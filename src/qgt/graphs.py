@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PROFILE_DEGREE = 32
+MAX_SWAP_PASSES = 200
 
 
 @dataclass
@@ -88,18 +89,6 @@ class BipartiteGraph:
         np.cumsum(np.bincount(flat, minlength=N), out=self.left_ptr[1:])
         self.left_node, self.left_pos = np.divmod(keys, r)
 
-    def degree(self, v: int) -> int:
-        return int(self.left_ptr[v + 1] - self.left_ptr[v])
-
-    def incidences(self, v: int):
-        """(pool, position) pairs of item v."""
-        lo, hi = self.left_ptr[v], self.left_ptr[v + 1]
-        return zip(self.left_node[lo:hi].tolist(), self.left_pos[lo:hi].tolist())
-
-    def degree_histogram(self) -> np.ndarray:
-        degs = np.diff(self.left_ptr)
-        return np.bincount(degs, minlength=int(degs.max(initial=0)) + 1)
-
 
 def _repair_degrees(degs: np.ndarray, target: int, d: int, rng) -> np.ndarray:
     diff = target - int(degs.sum())
@@ -119,11 +108,11 @@ def _repair_degrees(degs: np.ndarray, target: int, d: int, rng) -> np.ndarray:
     return degs
 
 
-def _try_assemble(N, M, r, degs, rng, max_passes=200):
+def _try_assemble(N, M, r, degs, rng):
     stubs = np.repeat(np.arange(N, dtype=np.int64), degs)
     rng.shuffle(stubs)
     arr = stubs.reshape(M, r)
-    for _ in range(max_passes):
+    for _ in range(MAX_SWAP_PASSES):
         srt = np.sort(arr, axis=1)
         bad_rows = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
         if bad_rows.size == 0:

@@ -11,10 +11,11 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .codec import SupportVector, TestPlan, build_signature, encode, peel_decode
+from .codec import SupportVector, TestPlan, build_signature, encode, peel_decode, tests_per_pool
 from .design import DesignResult, Plan, make_plan, optimize_design
 from .graphs import sample_graph
 
@@ -31,11 +32,6 @@ class TrialConfig:
     seed: int
     margin: float = 1.0
     jobs: int = 1
-    max_iterations: int | None = None
-    track_rounds: int = 0
-    # explicit plan override; both must be set together
-    M: int | None = None
-    r: int | None = None
 
 
 @dataclass
@@ -53,7 +49,6 @@ class SimReport:
     full_recovery: float
     mean_iterations: float
     wall_time: float
-    unidentified_by_round: np.ndarray | None = None
 
     def csv_row(self) -> str:
         return (
@@ -65,8 +60,9 @@ class SimReport:
 CSV_HEADER = "m,error_prob,ci_lo,ci_hi,full_recovery,trials"
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959964) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.959964  # two-sided 95% normal quantile
     if n == 0:
         return 0.0, 1.0
     p = successes / n
@@ -84,8 +80,7 @@ def sample_support(N: int, gamma: float, seed) -> SupportVector:
     return SupportVector(N=N, items=np.flatnonzero(rng.random(N) < gamma))
 
 
-def _run_chunk(args):
-    (N, K, t, profile, M, r, lo, hi, seed, max_iterations, track_rounds) = args
+def _run_chunk(N, K, t, profile, M, r, seed, lo, hi):
     sig = build_signature(t, r)
     gamma = K / N
     defect_total = 0
@@ -93,7 +88,6 @@ def _run_chunk(args):
     false_pos = 0
     full = 0
     iters = 0
-    by_round = np.zeros(track_rounds, dtype=np.int64)
     for i in range(lo, hi):
         graph_seed, support_seed = np.random.SeedSequence(
             entropy=seed, spawn_key=(i,)
@@ -101,7 +95,7 @@ def _run_chunk(args):
         graph = sample_graph(N, M, r, profile, graph_seed)
         support = sample_support(N, gamma, support_seed)
         plan = TestPlan(graph, sig)
-        out = peel_decode(plan, encode(plan, support), max_iterations=max_iterations)
+        out = peel_decode(plan, encode(plan, support))
         truth = set(support.items.tolist())
         found = set(out.identified.tolist())
         defect_total += len(truth)
@@ -109,12 +103,7 @@ def _run_chunk(args):
         false_pos += len(found - truth)
         full += truth == found
         iters += out.iterations
-        if track_rounds:
-            got = np.cumsum(out.identified_per_iteration)
-            for j in range(track_rounds):
-                done = got[min(j, got.size - 1)] if got.size else 0
-                by_round[j] += len(truth) - int(done)
-    return defect_total, unidentified, false_pos, full, iters, by_round
+    return defect_total, unidentified, false_pos, full, iters
 
 
 def run_plan_trials(
@@ -127,31 +116,24 @@ def run_plan_trials(
     trials: int,
     seed: int,
     jobs: int = 1,
-    max_iterations: int | None = None,
-    track_rounds: int = 0,
 ) -> SimReport:
     start = time.perf_counter()
-    s = t * r.bit_length() + 1
     bounds = np.linspace(0, trials, min(max(jobs, 1), trials) * 4 + 1 if jobs > 1 else 2).astype(int)
-    chunks = [
-        (N, K, t, profile, M, r, int(lo), int(hi), seed, max_iterations, track_rounds)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
+    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    run = partial(_run_chunk, N, K, t, profile, M, r, seed)
     if jobs > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
+            parts = list(pool.map(run, *zip(*chunks)))
     else:
-        parts = [_run_chunk(ch) for ch in chunks]
+        parts = [run(lo, hi) for lo, hi in chunks]
     defect_total = sum(p[0] for p in parts)
     unidentified = sum(p[1] for p in parts)
     false_pos = sum(p[2] for p in parts)
     full = sum(p[3] for p in parts)
     iters = sum(p[4] for p in parts)
-    by_round = sum((p[5] for p in parts), np.zeros(track_rounds, dtype=np.int64))
     lo, hi = wilson_interval(unidentified, max(defect_total, 1))
     return SimReport(
-        m=M * s,
+        m=M * tests_per_pool(t, r),
         M=M,
         r=r,
         trials=trials,
@@ -164,7 +146,6 @@ def run_plan_trials(
         full_recovery=full / max(trials, 1),
         mean_iterations=iters / max(trials, 1),
         wall_time=time.perf_counter() - start,
-        unidentified_by_round=by_round if track_rounds else None,
     )
 
 
@@ -172,7 +153,7 @@ def _invert_budget(m: int, N: int, t: int, design: DesignResult) -> tuple[int, i
     """Find (M, r) realizing about m tests, via the fixed point of
     M = floor(m / s), r = edge balance, s = t * ceil(log2(r + 1)) + 1."""
     ell = design.profile.avg_degree
-    s = t * 8 + 1  # neutral start; the fixed point below self-corrects
+    s = tests_per_pool(t, 2**8 - 1)  # neutral start, q = 8; the fixed point below self-corrects
     M = r = None
     for _ in range(12):
         M = m // s
@@ -181,7 +162,7 @@ def _invert_budget(m: int, N: int, t: int, design: DesignResult) -> tuple[int, i
         r = min(round(ell * N / M), N * design.d // M, N)
         if r < 3:
             return None
-        s_new = t * r.bit_length() + 1
+        s_new = tests_per_pool(t, r)
         if s_new == s:
             break
         s = s_new
@@ -211,31 +192,25 @@ def run_sweep(config: TrialConfig, m_values, design: DesignResult | None = None)
                 config.trials,
                 config.seed,
                 jobs=config.jobs,
-                max_iterations=config.max_iterations,
-                track_rounds=config.track_rounds,
             )
         )
     return reports
 
 
 def planner_report(config: TrialConfig, design: DesignResult | None = None) -> tuple[Plan, SimReport]:
-    """Run trials at the planner's operating point, or at an explicit (M, r)."""
+    """Run trials at the planner's operating point."""
     if design is None:
         design = optimize_design(config.t, config.d)
     plan = make_plan(config.N, config.K, design, margin=config.margin)
-    M = plan.M if config.M is None else config.M
-    r = plan.r if config.r is None else config.r
     report = run_plan_trials(
         config.N,
         config.K,
         config.t,
         design.profile,
-        M,
-        r,
+        plan.M,
+        plan.r,
         config.trials,
         config.seed,
         jobs=config.jobs,
-        max_iterations=config.max_iterations,
-        track_rounds=config.track_rounds,
     )
     return plan, report

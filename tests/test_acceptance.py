@@ -288,23 +288,27 @@ def test_criterion_7_exhaustive_oracle(report):
 
 def test_criterion_8_scaling(report):
     des = optimize_design(1, 3)
-    rows = []
+    cases = []
     for exp in (14, 15, 16):
         N = 2**exp
         plan = make_plan(N, 100, des, margin=1.6)
         graph = sample_graph(N, plan.M, plan.r, des.profile, 7)
         tp = TestPlan(graph, build_signature(1, plan.r))
-        support = sample_support(N, 100 / N, 9)
-        enc, dec = [], []
-        for _ in range(50):
+        cases.append((tp, sample_support(N, 100 / N, 9)))
+    # time the sizes round-robin, so that a drift in machine speed hits all
+    # three alike instead of one size's whole batch
+    enc = [[] for _ in cases]
+    dec = [[] for _ in cases]
+    for _ in range(50):
+        for k, (tp, support) in enumerate(cases):
             a = time.perf_counter()
             y = encode(tp, support)
             b = time.perf_counter()
             peel_decode(tp, y)
             c = time.perf_counter()
-            enc.append(b - a)
-            dec.append(c - b)
-        rows.append((statistics.median(enc), statistics.median(dec)))
+            enc[k].append(b - a)
+            dec[k].append(c - b)
+    rows = [(statistics.median(e), statistics.median(d)) for e, d in zip(enc, dec)]
     ok = True
     ratios = []
     for (e1, d1), (e2, d2) in zip(rows, rows[1:]):

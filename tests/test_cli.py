@@ -122,6 +122,14 @@ def test_out_of_regime_plan_exits_2(capsys):
         ["design", "--t", "2", "--d", "40"],
         ["compare", "--N", "1000", "--K-list", "1,5000"],
         ["simulate", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--trials", "0"],
+        ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--M", "0", "--r", "5"],
+        ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--M", "7"],
+        ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--r", "5"],
+        ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--M", "7", "--r", "5", "--seed", "1"],
+        ["simulate", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--m", "1x"],
+        ["simulate", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--m", "150,0"],
+        ["decode", "--plan", "plan.json", "--results", "results.json", "--max-iterations", "0"],
+        ["decode", "--plan", "plan.json", "--results", "results.json", "--max-iterations", "-3"],
     ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, capsys):

@@ -138,21 +138,24 @@ def test_stall_reported():
     assert out.resolved_nodes == 0
 
 
-def test_decode_failure_requeued_then_resolved_by_neighbor():
+def test_decode_failure_requeued_then_left_open_by_residual_check():
     # pool 0 carries a corrupted parity block and fails in pass 1; pool 1
-    # identifies their shared item, whose subtraction drives pool 0 to a
-    # clean zero residual in pass 2
+    # identifies their shared item, and pass 2 retries pool 0, whose count is
+    # now 0 but whose parity residual is not: no support produces these
+    # measurements, so the pool stays open and counts as failed
     g = BipartiteGraph(5, 2, 5, np.array([[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]))
     plan = TestPlan(g, build_signature(1, 5))
     results = encode(plan, SupportVector(5, np.array([0])))
     values = results.values.copy()
     values[:4] = [1, 1, 0, 1]  # count 1 with the syndrome of alpha^6: out of range
     tampered = TestResults(M=2, s=4, values=values)
-    out = peel_decode(plan, tampered)
+    pool0 = []
+    out = peel_decode(plan, tampered, iteration_hook=lambda i, Y, ident: pool0.append(Y[0].tolist()))
+    assert pool0 == [[0, 0, 0, 1], [0, 0, 0, 1]]
     assert out.identified.tolist() == [0]
     assert out.iterations == 2
-    assert out.resolved_nodes == 2
-    assert out.failed_nodes == 0
+    assert out.resolved_nodes == 1
+    assert out.failed_nodes == 1
     assert not out.stalled
 
 
@@ -164,6 +167,22 @@ def test_unresolvable_failure_counted():
     assert out.identified.size == 0
     assert out.failed_nodes == 1
     assert not out.stalled
+
+
+def test_impossible_measurements_not_recovered():
+    # raising each pool's first parity entry by 2*(count//2 + 1) keeps every
+    # syndrome mod 2 but leaves integer residuals that no support produces
+    p = profile_from_lambda(3, [0.0, 0.2, 0.8])
+    g = sample_graph(60, 18, 9, p, seed=13)
+    plan = TestPlan(g, build_signature(2, 9))
+    results = encode(plan, SupportVector(60, np.array([2, 7, 19, 33, 41, 55])))
+    assert peel_decode(plan, results).identified.tolist() == [2, 7, 19, 33, 41, 55]
+    blocks = results.blocks.copy()
+    blocks[:, 1] += 2 * (blocks[:, 0] // 2 + 1)
+    out = peel_decode(plan, TestResults(M=g.M, s=plan.signature.s, values=blocks.ravel()))
+    assert out.identified.size == 0
+    assert out.resolved_nodes == 0
+    assert out.stalled or out.failed_nodes
 
 
 def test_max_iterations_cap():
@@ -189,7 +208,7 @@ def test_plan_roundtrip_json():
     assert back.N == 14 and back.M == 3 and back.r == 7 and back.t == 1
     assert np.array_equal(back.graph.right_adj, plan.graph.right_adj)
     assert back.seed == 0
-    assert back.num_tests == 12
+    assert back.M * back.signature.s == 12
 
 
 def test_plan_format_errors():

@@ -6,17 +6,15 @@ from scipy.optimize import linprog
 from scipy.special import gammainc
 from scipy.stats import binom, poisson
 
+from oracles import DEParams, binom_upper, de_step_exact
 from qgt.design import (
     DEFAULT_PHI_GRID,
     DE_MARGIN,
-    DEParams,
     Infeasible,
     OutOfRegime,
-    _binom_upper,
     _pois_upper,
     baseline_tests,
     de_poisson_trajectory,
-    de_step_exact,
     de_step_poisson,
     lp_optimize_profile,
     make_plan,
@@ -52,10 +50,10 @@ def test_binom_upper_matches_scipy():
         k = int(rng.integers(0, 4))
         p = float(rng.uniform(1e-7, 0.9))
         ref = float(binom.sf(k, n, p))
-        got = _binom_upper(k, n, p)
+        got = binom_upper(k, n, p)
         assert got == pytest.approx(ref, rel=1e-6, abs=1e-300)
-    assert _binom_upper(1, 10, 0.0) == 0.0
-    assert _binom_upper(1, 10, 1.0) == 1.0
+    assert binom_upper(1, 10, 0.0) == 0.0
+    assert binom_upper(1, 10, 1.0) == 1.0
 
 
 def test_de_step_exact_hand_value():

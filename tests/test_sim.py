@@ -71,15 +71,6 @@ def test_report_bookkeeping():
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
 
 
-def test_track_rounds_monotone():
-    profile = optimize_design(1, 3).profile
-    rep = run_plan_trials(2000, 20, 1, profile, 40, 150, 30, seed=5, track_rounds=6)
-    seq = rep.unidentified_by_round
-    assert seq.shape == (6,)
-    assert (np.diff(seq) <= 0).all()
-    assert seq[0] > seq[-1]
-
-
 def test_sweep_skips_unrealizable_budgets(caplog):
     cfg = TrialConfig(N=100, K=20, t=1, d=3, trials=30, seed=3)
     with caplog.at_level(logging.WARNING, logger="qgt.sim"):
@@ -105,9 +96,3 @@ def test_planner_report_end_to_end_error_low():
     assert rep.error_prob < 1e-2
     assert rep.false_positives == 0
 
-
-def test_planner_report_explicit_operating_point():
-    cfg = TrialConfig(N=2000, K=20, t=1, d=3, trials=10, seed=9, M=45, r=130)
-    plan, rep = planner_report(cfg)
-    assert (rep.M, rep.r) == (45, 130)
-    assert plan.M != 45  # the plan itself still reports the planner's sizes
