@@ -96,7 +96,7 @@ def cmd_gen(args):
     try:
         graph = sample_graph(args.N, M, r, res.profile, seed)
         signature = codec.build_signature(args.t, r)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise UsageError(f"--M {M} --r {r}: {exc}") from None
     test_plan = codec.TestPlan(graph, signature, seed=seed)
     _emit(json.dumps(test_plan.to_dict()) + "\n", args.out)

@@ -31,6 +31,21 @@ class FormatError(ValueError):
     """Malformed or wrong-version serialized artifact."""
 
 
+def _ints(values, what: str) -> list:
+    """values as a list when each one is an int; a bool, float or string is
+    refused, not coerced."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{what} must be integers, got {bad!r}")
+    return values
+
+
+def _check_version(version, expected: int, kind: str):
+    if type(version) is not int or version != expected:
+        raise FormatError(f"unknown {kind} format version {version!r}")
+
+
 @dataclass
 class SignatureMatrix:
     """All-ones counting row stacked on the BCH parity rows; shape (s, r)."""
@@ -93,17 +108,21 @@ class TestPlan:
     def from_dict(cls, data: dict) -> "TestPlan":
         try:
             version = data["version"]
-            N, M, r, t, q = (int(data[k]) for k in ("N", "M", "r", "t", "q"))
+            N, M, r, t, q = _ints((data[k] for k in ("N", "M", "r", "t", "q")), "N, M, r, t and q")
             adj = data["right_adj"]
             seed = data.get("seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad plan object: {exc}") from exc
-        if version != PLAN_FORMAT_VERSION:
-            raise FormatError(f"unknown plan format version {version}")
+        _check_version(version, PLAN_FORMAT_VERSION, "plan")
         if q != field_degree(r):
             raise FormatError(f"stored q={q} inconsistent with r={r}")
         try:
-            graph = BipartiteGraph(N, M, r, np.asarray(adj, dtype=np.int64))
+            # no dtype: a float or string entry must not be truncated to an
+            # integer; a JSON true among integers still reads as 1
+            adj = np.asarray(adj)
+            if adj.dtype.kind != "i":
+                raise ValueError(f"entries must be integers, got dtype {adj.dtype}")
+            graph = BipartiteGraph(N, M, r, adj)
         except ValueError as exc:
             raise FormatError(f"bad adjacency: {exc}") from exc
         try:
@@ -134,15 +153,18 @@ class SupportVector:
     def from_dict(cls, data: dict) -> "SupportVector":
         try:
             version = data["version"]
-            N = int(data["N"])
-            items = [int(v) for v in data["defective"]]
+            N, *items = _ints([data["N"], *data["defective"]], "N and support ids")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad support object: {exc}") from exc
-        if version != 1:
-            raise FormatError(f"unknown support format version {version}")
+        _check_version(version, 1, "support")
         if any(not 1 <= v <= N for v in items):
             raise FormatError("support ids must be in [1, N]")
-        return cls(N=N, items=np.asarray(items, dtype=np.int64) - 1)
+        if len(set(items)) != len(items):
+            raise FormatError("support ids must be distinct")
+        try:
+            return cls(N=N, items=np.asarray(items, dtype=np.int64) - 1)
+        except OverflowError as exc:
+            raise FormatError(f"bad support object: {exc}") from exc
 
 
 @dataclass
@@ -164,11 +186,10 @@ class TestResults:
     def from_dict(cls, data: dict, M: int, s: int) -> "TestResults":
         try:
             version = data["version"]
-            values = np.asarray([int(v) for v in data["values"]], dtype=np.int64)
-        except (KeyError, TypeError, ValueError) as exc:
+            values = np.asarray(_ints(data["values"], "measurements"), dtype=np.int64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad results object: {exc}") from exc
-        if version != 1:
-            raise FormatError(f"unknown results format version {version}")
+        _check_version(version, 1, "results")
         if values.shape != (M * s,):
             raise FormatError(f"expected {M * s} measurements, got {values.size}")
         if (values < 0).any():
@@ -223,7 +244,8 @@ def peel_decode(
     Each pass resolves the pools whose residual count was <= t when the pass
     started: the residual parity rows are syndrome-decoded and the located
     items subtracted from all their pools.  A pool is resolved only when that
-    leaves its whole residual block at zero, so measurements no support can
+    leaves its whole residual block at zero, and counts as resolved at the
+    end only if its block is still zero then, so measurements no support can
     produce are never reported as recovered.  A DecodeFailure or such a
     mismatch leaves the pool unresolved for a later retry.  The decoder
     stops when a pass makes no progress or after max_iterations passes
@@ -296,6 +318,9 @@ def peel_decode(
             break
         active = np.fromiter(sorted(next_active), dtype=np.int64, count=len(next_active))
 
+    # an item located in one pool may also sit in a pool resolved earlier
+    # and drive that pool's residual below zero
+    resolved &= ~Y.any(axis=1)
     open_counts = Y[~resolved, 0]
     return DecodeOutcome(
         identified=np.asarray(sorted(identified), dtype=np.int64),

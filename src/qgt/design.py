@@ -156,7 +156,8 @@ class DesignResult:
 
     nodes_per_defective is the pool budget multiplier: a plan needs about
     nodes_per_defective * K pools.  trace keeps the (load, objective) pairs
-    of the outer scan for inspection.
+    of the grid points the load search evaluated, in evaluation order, with
+    +inf at infeasible loads; it is for inspection and not serialized.
     """
 
     t: int
@@ -187,13 +188,29 @@ def _objective_at(t, d, load):
         return math.inf, None
 
 
+def _grid_load(i: int) -> float:
+    """Load at index i of the coarse grid: the float that stepping
+    LOAD_SCAN_START up by LOAD_SCAN_STEP i times, rounding each sum to ten
+    places, arrives at."""
+    return round(LOAD_SCAN_START + LOAD_SCAN_STEP * i, 10)
+
+
+# the highest grid index whose load does not exceed LOAD_SCAN_CAP
+_LAST_GRID_INDEX = int((LOAD_SCAN_CAP - LOAD_SCAN_START) / LOAD_SCAN_STEP)
+
+
 @lru_cache(maxsize=None)
 def optimize_design(t: int, d: int) -> DesignResult:
-    """Scan loads coarsely, then refine the best bracket by golden section.
+    """Search the coarse load grid for its best point, then refine the
+    bracket around it by golden section.
 
     The objective f(load) = -load * sum lambda_i / i is evaluated through the
-    LP; infeasible loads count as +inf.  The budget multiplier is -1/f at the
-    minimizer and the mean left degree is load * that multiplier.
+    LP; infeasible loads count as +inf.  On the grid LOAD_SCAN_START +
+    i*LOAD_SCAN_STEP (up to LOAD_SCAN_CAP) the search gallops and then
+    bisects to the last feasible index, and bisects on the slope for the
+    first minimum, evaluating each grid point at most once.  The budget
+    multiplier is -1/f at the minimizer and the mean left degree is load *
+    that multiplier.
     """
     if not 1 <= t <= 4:
         raise OutOfRegime(f"capability t={t} outside [1, 4]")
@@ -201,26 +218,41 @@ def optimize_design(t: int, d: int) -> DesignResult:
         raise ValueError(f"max degree d={d} outside [2, {MAX_PROFILE_DEGREE}]")
     if t == 1 and d < 3:
         raise Infeasible("degree-2 items stall single-error pools; need d >= 3 at t=1")
-    # raising the load tightens every contraction constraint, so the feasible
-    # loads form an interval starting at zero; scan until the LP gives out
-    trace = []
-    best_i = -1
-    best_f = math.inf
-    load = LOAD_SCAN_START
-    while load <= LOAD_SCAN_CAP:
-        f, _ = _objective_at(t, d, load)
-        if not math.isfinite(f):
-            break
-        trace.append((load, f))
-        if f < best_f:
-            best_f = f
-            best_i = len(trace) - 1
-        load = round(load + LOAD_SCAN_STEP, 10)
-    if not trace:
-        raise Infeasible(f"no feasible load for t={t}, d={d}")
+    # Two premises, checked for every (t, d) this function accepts, make the
+    # search land on the same grid point as a scan of the whole grid: the
+    # feasible grid loads form a prefix (raising the load tightens every
+    # contraction constraint), and on that prefix f falls strictly, then
+    # rises strictly.
+    evaluated = {}  # grid index -> (f, profile), in evaluation order
 
-    lo = trace[max(best_i - 1, 0)][0]
-    hi = trace[min(best_i + 1, len(trace) - 1)][0]
+    def f_at(i):
+        if i not in evaluated:
+            evaluated[i] = _objective_at(t, d, _grid_load(i))
+        return evaluated[i][0]
+
+    def feasible(i):
+        return i <= _LAST_GRID_INDEX and math.isfinite(f_at(i))
+
+    if not feasible(0):
+        raise Infeasible(f"no feasible load for t={t}, d={d}")
+    # gallop to an infeasible index, or to one past the last grid index
+    good, bad = 0, 1
+    while feasible(bad):
+        good, bad = bad, min(2 * bad, _LAST_GRID_INDEX + 1)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if feasible(mid) else (good, mid)
+    last = good
+    best_i, hi_i = 0, last
+    while best_i < hi_i:
+        mid = (best_i + hi_i) // 2
+        if f_at(mid + 1) < f_at(mid):
+            best_i = mid + 1
+        else:
+            hi_i = mid
+
+    lo = _grid_load(max(best_i - 1, 0))
+    hi = _grid_load(min(best_i + 1, last))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
@@ -240,9 +272,9 @@ def optimize_design(t: int, d: int) -> DesignResult:
     f_star, profile = _objective_at(t, d, load_star)
     if profile is None:
         # golden section collapsed onto the feasibility edge; back off to the
-        # best scanned point
-        load_star = float(trace[best_i][0])
-        f_star, profile = _objective_at(t, d, load_star)
+        # best grid point
+        load_star = _grid_load(best_i)
+        f_star, profile = evaluated[best_i]
     return DesignResult(
         t=t,
         d=d,
@@ -250,7 +282,7 @@ def optimize_design(t: int, d: int) -> DesignResult:
         profile=profile,
         objective=f_star,
         nodes_per_defective=-1.0 / f_star,
-        trace=trace,
+        trace=[(_grid_load(i), f) for i, (f, _) in evaluated.items()],
     )
 
 

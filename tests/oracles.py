@@ -1,7 +1,8 @@
 """Reference computations that tests compare the library against.
 
 None of these run in the CLI or the simulator: the finite-pool-size
-recursion checks its large-pool limit `design.de_step_poisson`, the bitwise
+recursion checks its large-pool limit `design.de_step_poisson`, the full
+load scan checks the search in `design.optimize_design`, the bitwise
 syndrome checks the BCH decoder, and the field trace checks
 `FieldContext.solve_quadratic`.
 """
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qgt import design
 from qgt.bch import ParityCheckMatrix
 from qgt.gf2m import FieldContext
 from qgt.graphs import DegreeProfile
@@ -65,6 +67,63 @@ def de_step_exact(p: float, params: DEParams, profile: DegreeProfile) -> float:
         if lam_i:
             acc += lam_i * unresolved ** (i - 1)
     return params.gamma * acc
+
+
+def scan_design(t: int, d: int) -> design.DesignResult:
+    """optimize_design by a scan of every grid load until the LP gives out.
+
+    trace holds the feasible grid points in grid order, so its index of the
+    first minimum is the grid argmin and its length one past the last
+    feasible index.
+    """
+    objective_at = design._objective_at
+    trace = []
+    best_i = -1
+    best_f = math.inf
+    load = design.LOAD_SCAN_START
+    while load <= design.LOAD_SCAN_CAP:
+        f, _ = objective_at(t, d, load)
+        if not math.isfinite(f):
+            break
+        trace.append((load, f))
+        if f < best_f:
+            best_f = f
+            best_i = len(trace) - 1
+        load = round(load + design.LOAD_SCAN_STEP, 10)
+    if not trace:
+        raise design.Infeasible(f"no feasible load for t={t}, d={d}")
+
+    lo = trace[max(best_i - 1, 0)][0]
+    hi = trace[min(best_i + 1, len(trace) - 1)][0]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, _ = objective_at(t, d, x1)
+    f2, _ = objective_at(t, d, x2)
+    while b - a > design.LOAD_REFINE_TOL:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1, _ = objective_at(t, d, x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2, _ = objective_at(t, d, x2)
+    load_star = (a + b) / 2.0
+    f_star, profile = objective_at(t, d, load_star)
+    if profile is None:
+        load_star = float(trace[best_i][0])
+        f_star, profile = objective_at(t, d, load_star)
+    return design.DesignResult(
+        t=t,
+        d=d,
+        load=load_star,
+        profile=profile,
+        objective=f_star,
+        nodes_per_defective=-1.0 / f_star,
+        trace=trace,
+    )
 
 
 def syndrome_of(pcm: ParityCheckMatrix, positions) -> np.ndarray:

@@ -126,6 +126,7 @@ def test_out_of_regime_plan_exits_2(capsys):
         ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--M", "7"],
         ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--r", "5"],
         ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--M", "7", "--r", "5", "--seed", "1"],
+        ["gen", "--t", "1", "--d", "5", "--N", "20", "--K", "2", "--M", "4", "--r", "18", "--seed", "1"],
         ["simulate", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--m", "1x"],
         ["simulate", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--m", "150,0"],
         ["decode", "--plan", "plan.json", "--results", "results.json", "--max-iterations", "0"],
@@ -165,6 +166,35 @@ def test_unknown_version_exits_1(tmp_path, capsys):
     plan_file = write(tmp_path / "plan.json", plan)
     support_file = write(tmp_path / "support.json", {"version": 1, "N": 14, "defective": [4]})
     assert cli.main(["encode", "--plan", plan_file, "--support", support_file]) == 1
+
+
+@pytest.mark.parametrize(
+    "plan_change,support",
+    [
+        ({}, {"version": 1, "N": 14, "defective": [True, 3.7, "5", 5]}),
+        ({}, {"version": 1, "N": 14, "defective": [5, 5]}),
+        ({"N": "14"}, {"version": 1, "N": 14, "defective": [4]}),
+        ({"t": 1.9}, {"version": 1, "N": 14, "defective": [4]}),
+        ({"right_adj": [[v + 0.5 for v in row] for row in EXAMPLE_ADJ]}, {"version": 1, "N": 14, "defective": [4]}),
+    ],
+)
+def test_encode_rejects_coercible_values_with_one_line(tmp_path, capsys, plan_change, support):
+    plan_file = write(tmp_path / "plan.json", dict(example_plan().to_dict(), **plan_change))
+    support_file = write(tmp_path / "support.json", support)
+    assert cli.main(["encode", "--plan", plan_file, "--support", support_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_decode_rejects_non_integer_results_with_one_line(tmp_path, capsys, bad):
+    plan_file = write(tmp_path / "plan.json", example_plan().to_dict())
+    results_file = write(tmp_path / "results.json", {"version": 1, "values": [0] * 11 + [bad]})
+    assert cli.main(["decode", "--plan", plan_file, "--results", results_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_encode_dimension_mismatch_exits_1(tmp_path, capsys):

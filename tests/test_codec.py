@@ -185,6 +185,19 @@ def test_impossible_measurements_not_recovered():
     assert out.stalled or out.failed_nodes
 
 
+def test_item_that_overdraws_a_resolved_pool_is_not_a_recovery():
+    # item 7 sits in pools 1 and 2 only.  Pool 1 reads zero and resolves
+    # first; pool 2 holds exactly item 7's column, which then drives pool 1
+    # to -1.  No support gives these measurements, so it must not succeed.
+    plan = example_plan()
+    blocks = np.zeros((3, 4), dtype=np.int64)
+    blocks[2] = plan.signature.matrix[:, 3]
+    out = peel_decode(plan, TestResults(M=3, s=4, values=blocks.ravel()))
+    assert out.identified.tolist() == [7]
+    assert out.failed_nodes == 1 and out.resolved_nodes == 2
+    assert not np.array_equal(encode(plan, SupportVector(14, out.identified)).blocks, blocks)
+
+
 def test_max_iterations_cap():
     plan = example_plan()
     results = encode(plan, SupportVector(14, np.array(EXAMPLE_DEFECTIVE)))
@@ -229,6 +242,68 @@ def test_plan_format_errors():
     for t in (0, 9):
         with pytest.raises(FormatError, match="capability"):
             TestPlan.from_dict(dict(good, t=t))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"N": "14"},
+        {"N": 14.0},
+        {"t": 1.9},
+        {"t": True},
+        {"r": "7"},
+        {"version": "1"},
+        {"version": 1.0},
+        {"right_adj": (EXAMPLE_ADJ + 0.5).tolist()},
+        {"right_adj": EXAMPLE_ADJ.astype(float).tolist()},
+        {"right_adj": EXAMPLE_ADJ.astype(str).tolist()},
+        {"right_adj": [[None] * 7] * 3},
+        {"right_adj": [[2**70] * 7] * 3},
+        {"right_adj": [row[:-1] for row in EXAMPLE_ADJ.tolist()]},
+    ],
+)
+def test_plan_values_are_not_coerced(change):
+    with pytest.raises(FormatError):
+        TestPlan.from_dict(dict(example_plan().to_dict(), **change))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"version": 1, "N": 14, "defective": [True, 3.7, "5", 5]},
+        {"version": 1, "N": 14, "defective": [True]},
+        {"version": 1, "N": 14, "defective": [3.7]},
+        {"version": 1, "N": 14, "defective": [4.0]},
+        {"version": 1, "N": 14, "defective": ["5"]},
+        {"version": 1, "N": 14, "defective": [5, 5]},
+        {"version": 1, "N": "14", "defective": [5]},
+        {"version": 1, "N": 14.0, "defective": [5]},
+        {"version": True, "N": 14, "defective": [5]},
+        {"version": 1, "N": 2**70, "defective": [2**69]},
+        {"version": 1, "N": 14, "defective": "5"},
+        {"version": 1, "N": 14, "defective": 5},
+    ],
+)
+def test_support_values_are_not_coerced(data):
+    with pytest.raises(FormatError):
+        SupportVector.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0, 1, 2, 3, 4, 5.0], [0, 1, 2, 3, 4, 5.5], [0, 1, 2, 3, 4, True], [0, 1, 2, 3, 4, "5"], [0] * 5 + [2**70]],
+)
+def test_result_values_are_not_coerced(values):
+    with pytest.raises(FormatError):
+        TestResults.from_dict({"version": 1, "values": values}, 2, 3)
+
+
+def test_plan_adjacency_bool_reads_as_one():
+    # known gap: a JSON true among the integers of a row upcasts to 1, since
+    # checking every entry in Python would slow down parsing large plans
+    adj = EXAMPLE_ADJ.tolist()
+    adj[0][0] = True
+    assert TestPlan.from_dict(dict(example_plan().to_dict(), right_adj=adj)).graph.right_adj[0, 0] == 1
 
 
 def test_support_roundtrip_one_based():

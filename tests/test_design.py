@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,14 @@ from scipy.optimize import linprog
 from scipy.special import gammainc
 from scipy.stats import binom, poisson
 
-from oracles import DEParams, binom_upper, de_step_exact
+from oracles import DEParams, binom_upper, de_step_exact, scan_design
+from qgt import design
 from qgt.design import (
     DEFAULT_PHI_GRID,
     DE_MARGIN,
+    LOAD_SCAN_CAP,
+    LOAD_SCAN_START,
+    LOAD_SCAN_STEP,
     Infeasible,
     OutOfRegime,
     _pois_upper,
@@ -214,6 +219,39 @@ def test_optimize_design_validates_inputs():
         optimize_design(5, 3)
     with pytest.raises(ValueError):
         optimize_design(1, 40)
+
+
+def test_grid_load_is_the_iterated_scan_load():
+    load, i = LOAD_SCAN_START, 0
+    while load <= LOAD_SCAN_CAP:
+        assert design._grid_load(i) == load, i
+        load, i = round(load + LOAD_SCAN_STEP, 10), i + 1
+    assert design._LAST_GRID_INDEX == i - 1
+
+
+def _first_argmin(points):
+    return min(range(len(points)), key=lambda i: points[i][1])
+
+
+SEARCH_ROWS = [(t, d) for t in (1, 2, 3, 4) for d in (2, 3, 5, 17, 32) if (t, d) != (1, 2)]
+
+
+@pytest.mark.parametrize("t,d", SEARCH_ROWS)
+def test_load_search_matches_full_scan(t, d):
+    mine = optimize_design(t, d)
+    ref = scan_design(t, d)
+    # json spells every float exactly, -0.0 included
+    assert json.dumps(mine.to_dict()) == json.dumps(ref.to_dict())
+    # the trace holds each evaluated grid point once, infeasible ones at +inf
+    indices = [round((load - LOAD_SCAN_START) / LOAD_SCAN_STEP) for load, _ in mine.trace]
+    assert len(set(indices)) == len(indices) <= 60
+    for i, (load, f) in zip(indices, mine.trace):
+        assert load == design._grid_load(i)
+        assert f == (ref.trace[i][1] if i < len(ref.trace) else math.inf)
+    feasible = sorted((i, f) for i, (_, f) in zip(indices, mine.trace) if math.isfinite(f))
+    assert feasible[-1][0] == len(ref.trace) - 1
+    assert len(ref.trace) in indices  # the first infeasible index was seen
+    assert feasible[_first_argmin(feasible)][0] == _first_argmin(ref.trace)
 
 
 def test_design_result_serialization():
