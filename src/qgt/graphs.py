@@ -109,23 +109,37 @@ def _repair_degrees(degs: np.ndarray, target: int, d: int, rng) -> np.ndarray:
 
 
 def _try_assemble(N, M, r, degs, rng):
+    # Swap rule: each pass takes the rows that hold a repeated item at the
+    # start of the pass.  Row g is read once, as it stands when its turn
+    # comes (an earlier swap of the pass may have changed it).  Every slot
+    # whose item already sits at a lower slot of that reading is swapped, in
+    # ascending slot order, with the flat slot of one scalar
+    # rng.integers(M*r) draw.  The keys item*r + slot are distinct and sort
+    # by item, then slot, so a repeat is a sorted key whose item equals its
+    # predecessor's; item*r + slot < N*r fits in int64 as BipartiteGraph
+    # requires of N*M*r.
     stubs = np.repeat(np.arange(N, dtype=np.int64), degs)
     rng.shuffle(stubs)
     arr = stubs.reshape(M, r)
+    slots = np.arange(r, dtype=np.int64)
+    total = M * r
     for _ in range(MAX_SWAP_PASSES):
         srt = np.sort(arr, axis=1)
         bad_rows = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
         if bad_rows.size == 0:
-            return np.sort(arr, axis=1)
-        for g in bad_rows:
-            row = arr[g]
-            seen = {}
-            for j, v in enumerate(row.tolist()):
-                if v in seen:
-                    k = int(rng.integers(M * r))
-                    arr[g, j], arr[k // r, k % r] = arr[k // r, k % r], arr[g, j]
-                else:
-                    seen[v] = j
+            return srt
+        for g in bad_rows.tolist():
+            keys = arr[g] * r
+            keys += slots
+            keys.sort()
+            items = keys // r
+            dup = keys[1:][items[1:] == items[:-1]]
+            dup %= r
+            dup.sort()
+            dup += g * r
+            for i in dup.tolist():
+                k = int(rng.integers(total))
+                stubs[i], stubs[k] = stubs[k], stubs[i]
     return None
 
 
@@ -134,7 +148,11 @@ def sample_graph(N: int, M: int, r: int, profile: DegreeProfile, seed) -> Bipart
 
     Left degrees are i.i.d. from profile.node_probs, repaired within [1, d] so
     the stub total equals M * r; multi-edges are removed by bounded swap
-    passes, resampling with a derived seed if a pass budget runs out.
+    passes, resampling with a derived seed if a pass budget runs out.  A pass
+    visits the rows that repeat an item at its start, in ascending order; in
+    each it swaps, in ascending slot order, every slot whose item sits at a
+    lower slot of the row as read at its turn, with the slot of one scalar
+    rng.integers(M * r) draw per swapped slot.
     """
     if N < 1 or M < 1:
         raise ValueError("need at least one node on each side")

@@ -2,8 +2,9 @@
 
 None of these run in the CLI or the simulator: the finite-pool-size
 recursion checks its large-pool limit `design.de_step_poisson`, the full
-load scan checks the search in `design.optimize_design`, the bitwise
-syndrome checks the BCH decoder, and the field trace checks
+load scan checks the search in `design.optimize_design`, the slot-by-slot
+dict walk checks the multi-edge swap passes of `graphs._try_assemble`, the
+bitwise syndrome checks the BCH decoder, and the field trace checks
 `FieldContext.solve_quadratic`.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 from qgt import design
 from qgt.bch import ParityCheckMatrix
 from qgt.gf2m import FieldContext
-from qgt.graphs import DegreeProfile
+from qgt.graphs import MAX_SWAP_PASSES, DegreeProfile
 
 
 @dataclass
@@ -124,6 +125,32 @@ def scan_design(t: int, d: int) -> design.DesignResult:
         nodes_per_defective=-1.0 / f_star,
         trace=trace,
     )
+
+
+def assemble_by_dict(N, M, r, degs, rng):
+    """graphs._try_assemble by a dict walk over every slot of every bad row.
+
+    Draws the same random stream and returns the same sorted adjacency, or
+    None when the pass budget runs out.
+    """
+    stubs = np.repeat(np.arange(N, dtype=np.int64), degs)
+    rng.shuffle(stubs)
+    arr = stubs.reshape(M, r)
+    for _ in range(MAX_SWAP_PASSES):
+        srt = np.sort(arr, axis=1)
+        bad_rows = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
+        if bad_rows.size == 0:
+            return np.sort(arr, axis=1)
+        for g in bad_rows:
+            row = arr[g]
+            seen = {}
+            for j, v in enumerate(row.tolist()):
+                if v in seen:
+                    k = int(rng.integers(M * r))
+                    arr[g, j], arr[k // r, k % r] = arr[k // r, k % r], arr[g, j]
+                else:
+                    seen[v] = j
+    return None
 
 
 def syndrome_of(pcm: ParityCheckMatrix, positions) -> np.ndarray:

@@ -1,6 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import assemble_by_dict
+from qgt import graphs
+from qgt.design import make_plan, optimize_design
 from qgt.graphs import BipartiteGraph, profile_from_lambda, sample_graph
 
 EXAMPLE_ADJ = np.array(
@@ -137,3 +144,101 @@ def test_sample_graph_infeasible_stub_totals():
         sample_graph(10, 8, 5, p, seed=0)  # M*r=40 > N*d=30
     with pytest.raises(ValueError):
         sample_graph(10, 2, 11, p, seed=0)  # r > N
+
+
+class _Recording:
+    """A generator that logs the draws of integers()."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def shuffle(self, x):
+        self.rng.shuffle(x)
+
+    def integers(self, n):
+        k = self.rng.integers(n)
+        self.draws.append(int(k))
+        return k
+
+
+def _assert_same_assembly(N, M, r, degs, rng):
+    """Both assemblers from the same degrees and generator state agree."""
+    degs = np.asarray(degs, dtype=np.int64)
+    want_rng = copy.deepcopy(rng)
+    got_rng = copy.deepcopy(rng)
+    want = assemble_by_dict(N, M, r, degs, want_rng)
+    got = graphs._try_assemble(N, M, r, degs, got_rng)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize("t,d,margin", [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)])
+def test_assembly_matches_dict_walk_at_desk_points(t, d, margin):
+    des = optimize_design(t, d)
+    plan = make_plan(2**16, 100, des, margin)
+    N, M, r = plan.N, plan.M, plan.r
+    # the degrees of sample_graph's first attempt at seed 5
+    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+    degs = rng.choice(np.arange(1, d + 1), size=N, p=des.profile.node_probs)
+    degs = graphs._repair_degrees(degs.astype(np.int64), M * r, d, rng)
+    adj = _assert_same_assembly(N, M, r, degs, rng)
+    assert (np.diff(adj, axis=1) > 0).all()
+
+
+def test_assembly_matches_dict_walk_in_a_single_row():
+    # with M = 1 every swap stays inside the row; item 0 sits there twice, so
+    # each of the 200 passes swaps exactly one slot and the budget runs out
+    N, M, r, degs = 5, 1, 6, [2, 1, 1, 1, 1]
+    assert _assert_same_assembly(N, M, r, degs, np.random.default_rng(11)) is None
+    rec = _Recording(np.random.default_rng(11))
+    assert graphs._try_assemble(N, M, r, np.array(degs), rec) is None
+    assert len(rec.draws) == graphs.MAX_SWAP_PASSES
+    row = np.repeat(np.arange(N), degs)
+    np.random.default_rng(11).shuffle(row)
+    later = 0
+    for k in rec.draws:
+        j = np.flatnonzero(row == 0)[1]
+        later += k > j
+        row[j], row[k] = row[k], row[j]
+    assert later > 0  # some swaps land at a later slot of the row in hand
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_assembly_matches_dict_walk_over_several_passes(seed, monkeypatch):
+    N, M, r = 16, 6, 8
+    degs = np.full(N, 3)
+    want = _assert_same_assembly(N, M, r, degs, np.random.default_rng(seed))
+    assert want is not None
+    # two swap passes were not enough: the graph needed three or more
+    monkeypatch.setattr(graphs, "MAX_SWAP_PASSES", 2)
+    assert graphs._try_assemble(N, M, r, degs, np.random.default_rng(seed)) is None
+
+
+def test_assembly_matches_dict_walk_when_the_budget_runs_out():
+    # item 0 has degree 3 but there are only 2 pools
+    assert _assert_same_assembly(6, 2, 4, [3, 1, 1, 1, 1, 1], np.random.default_rng(3)) is None
+
+
+@st.composite
+def assemblies(draw):
+    M = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 8))
+    N = draw(st.integers(r, 12))
+    if draw(st.booleans()):
+        # the degrees of some graph with r distinct items per pool
+        stubs = [v for _ in range(M) for v in draw(st.permutations(range(N)))[:r]]
+    else:
+        stubs = draw(st.lists(st.integers(0, N - 1), min_size=M * r, max_size=M * r))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return N, M, r, np.bincount(stubs, minlength=N), np.random.default_rng(seed)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(assemblies())
+def test_assembly_matches_dict_walk_on_random_degrees(case):
+    _assert_same_assembly(*case)
