@@ -9,11 +9,11 @@ out-of-range locator; such events surface as DecodeFailure, never as a wrong
 answer.
 
 Decoding recovers the error-locator polynomial from the power-sum syndromes
-(Peterson-Gorenstein-Zierler, expected weight known in advance), then extracts
-its roots in closed form for weights 1 and 2 or by an evaluation sweep over the
-first r positions for weights 3 and 4.  Every candidate position set is
-re-verified against the full syndrome before it is returned, which turns any
-miscorrection into an explicit failure.
+(Peterson-Gorenstein-Zierler, expected weight known in advance), then takes
+the single root of weight 1 in closed form and the roots of every weight from
+2 up by one evaluation sweep over the first r positions.  Every candidate
+position set is re-verified against the full syndrome before it is returned,
+which turns any miscorrection into an explicit failure.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ class ParityCheckMatrix:
             for j in range(self.q):
                 out[k * self.q + j] = (vals >> j) & 1
         return out
+
+    @cached_property
+    def sweep_powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents e*i mod n and the powers alpha^(e*i), e = 0..t, i < r."""
+        exps = np.outer(np.arange(self.t + 1), np.arange(self.r)) % self.n
+        return exps, self.field.antilog[exps]
 
     def block_syndromes(self, positions) -> list[int]:
         """Power-sum syndromes S_{2k+1} of an error pattern, one per row block."""
@@ -126,34 +132,18 @@ def _pgz_sigma(field: FieldContext, S: list[int], w: int) -> list[int]:
     return b
 
 
-def _roots_quadratic(field: FieldContext, s1: int, s2: int) -> list[int]:
-    # X^2 + s1*X + s2 with two distinct nonzero roots, else failure.
-    if s1 == 0 or s2 == 0:
-        raise DecodeFailure("degenerate quadratic locator")
-    z = field.solve_quadratic(field.div(s2, field.sqr(s1)))
-    if z is None:
-        raise DecodeFailure("quadratic locator has no roots")
-    x1 = field.mul(s1, z)
-    x2 = x1 ^ s1
-    if x1 == 0 or x2 == 0:
-        raise DecodeFailure("zero locator root")
-    return [x1, x2]
-
-
 def _roots_sweep(pcm: ParityCheckMatrix, sigma: list[int], w: int) -> list[int]:
     # Evaluate X^w + sigma_1 X^(w-1) + ... + sigma_w at X = alpha^i over the
     # first r positions only; out-of-range roots are simply never found.
     f = pcm.field
     if sigma[-1] == 0:
         raise DecodeFailure("zero locator root")
-    idx = np.arange(pcm.r, dtype=np.int64)
-    acc = np.zeros(pcm.r, dtype=np.int64)
-    coeffs = [1] + sigma  # coefficient of X^(w-u) at index u
-    for u, a in enumerate(coeffs):
-        if a == 0:
-            continue
-        exps = (f.log[a] + (w - u) * idx) % f.order
-        acc ^= f.antilog[exps]
+    exps, powers = pcm.sweep_powers
+    acc = powers[w] ^ sigma[-1]
+    for u, a in enumerate(sigma[:-1], start=1):
+        if a:
+            # exps + log a < 2n, so the wrap is the reduction mod n
+            acc ^= f.antilog.take(exps[w - u] + f.log[a], mode="wrap")
     return np.flatnonzero(acc == 0).tolist()
 
 
@@ -199,12 +189,7 @@ def syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) -> l
             raise DecodeFailure("zero syndrome for a weight-1 pattern")
         positions = [int(f.log[S[1]])]
     else:
-        sigma = _pgz_sigma(f, S, w)
-        if w == 2:
-            roots = _roots_quadratic(f, sigma[0], sigma[1])
-            positions = [int(f.log[x]) for x in roots]
-        else:
-            positions = _roots_sweep(pcm, sigma, w)
+        positions = _roots_sweep(pcm, _pgz_sigma(f, S, w), w)
 
     if len(set(positions)) != w or any(p >= pcm.r for p in positions):
         raise DecodeFailure("locator roots not a weight-matched in-range set")

@@ -48,15 +48,20 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and undecodable bytes
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         sys.exit(1)
 
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+            sys.exit(1)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 

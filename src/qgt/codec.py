@@ -48,7 +48,7 @@ def _check_version(version, expected: int, kind: str):
 
 @dataclass
 class SignatureMatrix:
-    """All-ones counting row stacked on the BCH parity rows; shape (s, r)."""
+    """All-ones counting row stacked on the BCH parity rows; int64, shape (s, r)."""
 
     t: int
     q: int
@@ -65,7 +65,7 @@ def tests_per_pool(t: int, r: int) -> int:
 
 def build_signature(t: int, r: int) -> SignatureMatrix:
     pcm = build_parity_check(t, r)
-    mat = np.vstack([np.ones((1, r), dtype=np.uint8), pcm.rows])
+    mat = np.vstack([np.ones((1, r), dtype=np.int64), pcm.rows.astype(np.int64)])
     return SignatureMatrix(t=t, q=pcm.q, s=tests_per_pool(t, r), r=r, matrix=mat, parity=pcm)
 
 
@@ -228,7 +228,7 @@ def encode(plan: TestPlan, support: SupportVector) -> TestResults:
         slots = np.concatenate(
             [np.arange(g.left_ptr[v], g.left_ptr[v + 1]) for v in support.items.tolist()]
         )
-        cols = sig.matrix.T[g.left_pos[slots]].astype(np.int64)
+        cols = sig.matrix.T[g.left_pos[slots]]
         np.add.at(Y, g.left_node[slots], cols)
     return TestResults(M=g.M, s=sig.s, values=Y.ravel())
 
@@ -258,7 +258,7 @@ def peel_decode(
     if max_iterations is None:
         max_iterations = M + 1
     Y = results.blocks.astype(np.int64, copy=True)
-    U = sig.matrix.astype(np.int64)
+    U = sig.matrix
     pcm = sig.parity
 
     is_defective_found = np.zeros(g.N, dtype=bool)

@@ -83,7 +83,6 @@ class FieldContext:
             raise ValueError(f"polynomial 0x{primitive_poly:x} is not primitive over GF(2)")
         self.antilog = antilog
         self.log = log
-        self._as_basis = None  # lazily built solver for z^2 + z = c
 
     def alpha_pow(self, e: int) -> int:
         """alpha^e with the exponent reduced mod 2^q - 1."""
@@ -103,46 +102,6 @@ class FieldContext:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^q)")
         return int(self.antilog[(self.order - self.log[a]) % self.order])
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by 0 in GF(2^q)")
-        if a == 0:
-            return 0
-        return int(self.antilog[(self.log[a] - self.log[b]) % self.order])
-
-    def solve_quadratic(self, c: int):
-        """One solution z of z^2 + z = c, or None when no solution exists.
-
-        The map z -> z^2 + z is GF(2)-linear with kernel {0, 1}, so a basis of
-        its image with preimage witnesses (built once per field) answers any
-        instance in O(q^2) bit operations.  The second solution is z ^ 1.
-        """
-        if c == 0:
-            return 0
-        if self._as_basis is None:
-            basis = {}  # leading bit -> (image vector, preimage)
-            for j in range(self.q):
-                v = self.sqr(1 << j) ^ (1 << j)
-                x = 1 << j
-                for lead in sorted(basis, reverse=True):
-                    if v >> lead & 1:
-                        pv, px = basis[lead]
-                        v ^= pv
-                        x ^= px
-                if v:
-                    basis[v.bit_length() - 1] = (v, x)
-            self._as_basis = basis
-        y = c
-        z = 0
-        for lead in sorted(self._as_basis, reverse=True):
-            if y >> lead & 1:
-                pv, px = self._as_basis[lead]
-                y ^= pv
-                z ^= px
-        if y:
-            return None
-        return z
 
 
 @lru_cache(maxsize=None)

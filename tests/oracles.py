@@ -3,13 +3,14 @@
 None of these run in the CLI or the simulator: the finite-pool-size
 recursion checks its large-pool limit `design.de_step_poisson`, the full
 load scan checks the search in `design.optimize_design`, the slot-by-slot
-dict walk checks the multi-edge swap passes of `graphs._try_assemble`, the
-bitwise syndrome checks the BCH decoder, and the field trace checks
-`FieldContext.solve_quadratic`.
+dict walk checks the multi-edge swap passes of `graphs._try_assemble`, and
+the bitwise syndrome and the decoding table built by enumerating every
+in-range position set check the BCH decoder.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from qgt import design
 from qgt.bch import ParityCheckMatrix
-from qgt.gf2m import FieldContext
 from qgt.graphs import MAX_SWAP_PASSES, DegreeProfile
 
 
@@ -162,11 +162,16 @@ def syndrome_of(pcm: ParityCheckMatrix, positions) -> np.ndarray:
     return bits
 
 
-def field_trace(f: FieldContext, a: int) -> int:
-    """Absolute trace a + a^2 + a^4 + ... + a^(2^(q-1)), which lies in {0, 1}."""
-    acc = a
-    x = a
-    for _ in range(f.q - 1):
-        x = f.sqr(x)
-        acc ^= x
-    return acc
+def decode_by_enumeration(pcm: ParityCheckMatrix, w: int) -> dict:
+    """Syndrome bytes -> the sorted weight-w position set below r producing it.
+
+    Every one of the C(r, w) sets is enumerated once.  For w <= t the
+    designed distance 2t + 1 makes the set unique, and a collision raises.
+    """
+    table = {}
+    for pos in itertools.combinations(range(pcm.r), w):
+        key = syndrome_of(pcm, pos).tobytes()
+        if key in table:
+            raise AssertionError(f"positions {table[key]} and {list(pos)} share a syndrome")
+        table[key] = list(pos)
+    return table

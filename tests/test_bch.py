@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import syndrome_of
+from oracles import decode_by_enumeration, syndrome_of
 from qgt.bch import DecodeFailure, build_parity_check, syndrome_decode
 from qgt.gf2m import make_field
 
@@ -65,6 +65,24 @@ def test_round_trip_small():
                 for pos in itertools.combinations(range(r), w):
                     got = syndrome_decode(pcm, syndrome_of(pcm, list(pos)), w)
                     assert got == sorted(pos)
+
+
+@pytest.mark.parametrize("t,r", [(2, 5), (2, 7), (3, 7), (4, 7), (2, 13), (3, 13)])
+def test_every_syndrome_matches_enumeration(t, r):
+    # the decoder returns the unique in-range weight-w set with the syndrome
+    # when there is one and fails otherwise, for every syndrome and w <= t
+    pcm = build_parity_check(t, r)
+    L = pcm.num_rows
+    syndromes = (np.arange(1 << L)[:, None] >> np.arange(L)) & 1
+    for w in range(t + 1):
+        table = decode_by_enumeration(pcm, w)
+        for syn in syndromes.astype(np.uint8):
+            expected = table.get(syn.tobytes())
+            if expected is None:
+                with pytest.raises(DecodeFailure):
+                    syndrome_decode(pcm, syn, w)
+            else:
+                assert syndrome_decode(pcm, syn, w) == expected
 
 
 def test_shortened_r5_all_syndromes():

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgt
 from qgt import cli, codec
 from qgt.graphs import BipartiteGraph, profile_from_lambda
 
@@ -160,6 +163,29 @@ def test_truncated_json_exits_1(tmp_path, capsys):
     assert cli.main(["encode", "--plan", str(bad), "--support", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"version": 1, "N": \xff}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["non-utf8", "deeply-nested"],
+)
+def test_unreadable_plan_file_exits_1_with_one_line(tmp_path, capsys, content):
+    bad = tmp_path / "plan.json"
+    bad.write_bytes(content)
+    support_file = write(tmp_path / "support.json", {"version": 1, "N": 14, "defective": [4]})
+    assert cli.main(["encode", "--plan", str(bad), "--support", support_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
+
+
+def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys):
+    out = str(tmp_path / "missing-dir" / "x.json")
+    assert cli.main(["design", "--t", "1", "--d", "3", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_version_exits_1(tmp_path, capsys):
     plan = example_plan().to_dict()
     plan["version"] = 99
@@ -255,10 +281,14 @@ def test_simulate_sweep_rows(tmp_path):
 
 
 def test_console_invocation():
+    # the child imports qgt from the same src/ tree as this process
+    src = str(Path(qgt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "qgt.cli", "design", "--t", "2", "--d", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["t"] == 2

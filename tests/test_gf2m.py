@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from oracles import field_trace
 from qgt.gf2m import MAX_DEGREE, MIN_DEGREE, PRIMITIVE_POLYS, FieldContext, make_field
 
 
@@ -47,15 +46,11 @@ def test_field_axioms_spot_checks():
     rng = np.random.default_rng(11)
     for _ in range(100):
         a = int(rng.integers(1, 32))
-        b = int(rng.integers(1, 32))
         assert f.mul(a, f.inv(a)) == 1
-        assert f.div(f.mul(a, b), b) == a
         assert f.sqr(a) == f.mul(a, a)
     assert f.mul(0, 17) == 0
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f.div(3, 0)
 
 
 def test_alpha_pow_wraps():
@@ -63,36 +58,6 @@ def test_alpha_pow_wraps():
     assert f.alpha_pow(0) == 1
     assert f.alpha_pow(7) == f.alpha_pow(0)
     assert f.alpha_pow(-1) == f.alpha_pow(6)
-
-
-def test_trace_is_gf2_linear_and_balanced():
-    for q in (3, 4, 6):
-        f = make_field(q)
-        traces = [field_trace(f, x) for x in range(1 << q)]
-        assert set(traces) <= {0, 1}
-        # trace is onto and balanced: half the elements map to each value
-        assert sum(traces) == 1 << (q - 1)
-        rng = np.random.default_rng(q)
-        for _ in range(50):
-            a, b = int(rng.integers(1 << q)), int(rng.integers(1 << q))
-            assert field_trace(f, a ^ b) == field_trace(f, a) ^ field_trace(f, b)
-
-
-def test_solve_quadratic_exhaustive_small_fields():
-    for q in (2, 3, 4, 5):
-        f = make_field(q)
-        solvable = 0
-        for c in range(1 << q):
-            z = f.solve_quadratic(c)
-            if z is None:
-                assert field_trace(f, c) == 1  # no solution only when the trace is odd
-                continue
-            solvable += 1
-            assert f.sqr(z) ^ z == c
-            other = z ^ 1
-            assert f.sqr(other) ^ other == c
-        # z -> z^2+z is 2-to-1, so exactly half the field is hit
-        assert solvable == 1 << (q - 1)
 
 
 def test_rejects_bad_polynomials():
