@@ -8,12 +8,16 @@ shortens it without losing minimum distance, but a decode may then land on an
 out-of-range locator; such events surface as DecodeFailure, never as a wrong
 answer.
 
-Decoding recovers the error-locator polynomial from the power-sum syndromes
-(Peterson-Gorenstein-Zierler, expected weight known in advance), then takes
-the single root of weight 1 in closed form and the roots of every weight from
-2 up by one evaluation sweep over the first r positions.  Every candidate
+Decoding recovers the error-locator polynomial from the power-sum syndromes,
+the expected weight w being known in advance: by Peterson's closed forms for
+w <= 3 and by Peterson-Gorenstein-Zierler elimination for w = 4.  The single
+root of weight 1 is the syndrome itself; the roots of every weight from 2 up
+come from one evaluation sweep over the first r positions.  Every candidate
 position set is re-verified against the full syndrome before it is returned,
-which turns any miscorrection into an explicit failure.
+which turns any miscorrection into an explicit failure.  Since the designed
+distance 2t + 1 leaves at most one in-range weight-w set per syndrome for
+w <= t, the result depends on the syndrome alone, not on how the locator was
+found.
 """
 
 from __future__ import annotations
@@ -74,15 +78,13 @@ class ParityCheckMatrix:
         exps = np.outer(np.arange(self.t + 1), np.arange(self.r)) % self.n
         return exps, self.field.antilog[exps]
 
-    def block_syndromes(self, positions) -> list[int]:
-        """Power-sum syndromes S_{2k+1} of an error pattern, one per row block."""
-        f = self.field
-        out = []
+    @cached_property
+    def block_weights(self) -> np.ndarray:
+        """(t*q, t) matrix with 2^j in row k*q + j of column k, so a 0/1
+        syndrome times it gives the t block values S_1, S_3, ..., S_{2t-1}."""
+        out = np.zeros((self.num_rows, self.t), dtype=np.int64)
         for k in range(self.t):
-            acc = 0
-            for p in positions:
-                acc ^= f.alpha_pow((2 * k + 1) * p)
-            out.append(acc)
+            out[k * self.q : (k + 1) * self.q, k] = 1 << np.arange(self.q)
         return out
 
 
@@ -98,12 +100,6 @@ def build_parity_check(t: int, r: int) -> ParityCheckMatrix:
     if r < 3:
         raise ValueError(f"need at least 3 columns, got r={r}")
     return ParityCheckMatrix(make_field(field_degree(r)), t, r)
-
-
-def _pack_blocks(pcm: ParityCheckMatrix, bits: np.ndarray) -> list[int]:
-    q = pcm.q
-    weights = 1 << np.arange(q, dtype=np.int64)
-    return [int(bits[k * q : (k + 1) * q].astype(np.int64) @ weights) for k in range(pcm.t)]
 
 
 def _pgz_sigma(field: FieldContext, S: list[int], w: int) -> list[int]:
@@ -143,8 +139,35 @@ def _roots_sweep(pcm: ParityCheckMatrix, sigma: list[int], w: int) -> list[int]:
     for u, a in enumerate(sigma[:-1], start=1):
         if a:
             # exps + log a < 2n, so the wrap is the reduction mod n
-            acc ^= f.antilog.take(exps[w - u] + f.log[a], mode="wrap")
-    return np.flatnonzero(acc == 0).tolist()
+            acc ^= f.antilog.take(exps[w - u] + f.log_list[a], mode="wrap")
+    return (acc == 0).nonzero()[0].tolist()
+
+
+def _sigma_closed_form(field: FieldContext, blocks: list[int], w: int) -> list[int]:
+    """sigma_1..sigma_w for w = 2 or 3 by Peterson's direct solution.
+
+    With S_2 = S_1^2 and S_4 = S_1^4 over GF(2^q), Newton's identities give
+    sigma_1 = S_1 and, for w = 2, sigma_2 = (S_3 + S_1^3) / S_1 with
+    S_1 = X_1 + X_2; for w = 3, with D = S_1^3 + S_3 =
+    (X_1 + X_2)(X_1 + X_3)(X_2 + X_3), sigma_2 = (S_1^2 S_3 + S_5) / D and
+    sigma_3 = D + S_1 sigma_2.  A zero divisor means the locators cannot be
+    distinct.  S_1 = 0 is valid at w = 3: three distinct locators may sum to
+    zero.
+    """
+    log, exp, n = field.log_list, field.exp_list, field.order
+    S1, S3 = blocks[0], blocks[1]
+    l1 = log[S1] if S1 else 0
+    D = S3 ^ exp[3 * l1 % n] if S1 else S3
+    if w == 2:
+        if not S1:
+            raise DecodeFailure("zero syndrome for a weight-2 pattern")
+        return [S1, exp[log[D] - l1 + n] if D else 0]
+    if not D:
+        raise DecodeFailure("singular locator system")
+    num = blocks[2] ^ exp[(2 * l1 + log[S3]) % n] if S1 and S3 else blocks[2]
+    sigma2 = exp[log[num] - log[D] + n] if num else 0
+    sigma3 = D ^ exp[l1 + log[sigma2]] if S1 and sigma2 else D
+    return [S1, sigma2, sigma3]
 
 
 def syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) -> list[int]:
@@ -164,35 +187,41 @@ def syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) -> l
         When no in-range position set of the expected weight reproduces the
         syndrome.  For shortened matrices this includes locators beyond r.
     """
-    bits = np.asarray(syndrome, dtype=np.int64) & 1
+    bits = np.asarray(syndrome, dtype=np.int64)
     if bits.shape != (pcm.num_rows,):
         raise ValueError(f"syndrome length {bits.shape} does not match {pcm.num_rows} rows")
     w = expected_weight
     if not 0 <= w <= pcm.t:
         raise ValueError(f"expected weight {w} outside [0, {pcm.t}]")
-    blocks = _pack_blocks(pcm, bits)
+    blocks = ((bits & 1) @ pcm.block_weights).tolist()
     if w == 0:
         if any(blocks):
             raise DecodeFailure("nonzero syndrome for an empty pattern")
         return []
 
     f = pcm.field
-    # Power sums S_1..S_2w; odd ones are measured, even ones follow by squaring.
-    S = [0] * (2 * w + 1)
-    for k in range(w):
-        S[2 * k + 1] = blocks[k]
-    for i in range(1, w + 1):
-        S[2 * i] = f.sqr(S[i])
-
     if w == 1:
-        if S[1] == 0:
+        if blocks[0] == 0:
             raise DecodeFailure("zero syndrome for a weight-1 pattern")
-        positions = [int(f.log[S[1]])]
+        positions = [f.log_list[blocks[0]]]
+    elif w < 4:
+        positions = _roots_sweep(pcm, _sigma_closed_form(f, blocks, w), w)
     else:
+        # Power sums S_1..S_8; odd ones are measured, even ones follow by squaring.
+        S = [0] * (2 * w + 1)
+        for k in range(w):
+            S[2 * k + 1] = blocks[k]
+        for i in range(1, w + 1):
+            S[2 * i] = f.sqr(S[i])
         positions = _roots_sweep(pcm, _pgz_sigma(f, S, w), w)
 
-    if len(set(positions)) != w or any(p >= pcm.r for p in positions):
+    if len(set(positions)) != w or max(positions) >= pcm.r:
         raise DecodeFailure("locator roots not a weight-matched in-range set")
-    if pcm.block_syndromes(positions) != blocks:
-        raise DecodeFailure("candidate positions do not reproduce the syndrome")
+    exp, n = f.exp_list, pcm.n
+    for k, s in enumerate(blocks):
+        e = 2 * k + 1
+        for p in positions:
+            s ^= exp[e * p % n]
+        if s:
+            raise DecodeFailure("candidate positions do not reproduce the syndrome")
     return sorted(positions)

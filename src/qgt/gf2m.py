@@ -4,12 +4,14 @@ Field elements are integers in [0, 2^q) whose bit i is the coefficient of
 alpha^i in the polynomial basis.  Multiplication and inversion go through
 log/antilog tables indexed by powers of the primitive element alpha, so every
 field operation is O(1) after an O(2^q) table build.  The degree is capped at
-20, which keeps the two tables around 8 MB.
+20, which keeps the two tables around 8 MB.  Scalar operations read Python-int
+copies of the tables, built on first use, since indexing a list is several
+times cheaper than indexing an array for a single element.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,24 +86,38 @@ class FieldContext:
         self.antilog = antilog
         self.log = log
 
+    @cached_property
+    def log_list(self) -> list[int]:
+        """log as a list of Python ints."""
+        return self.log.tolist()
+
+    @cached_property
+    def exp_list(self) -> list[int]:
+        """antilog twice over as a list of Python ints: exp_list[i] = alpha^i
+        for 0 <= i < 2 * order, so a sum or difference of two logs needs no
+        reduction once order is added to the difference."""
+        powers = self.antilog.tolist()
+        return powers + powers
+
     def alpha_pow(self, e: int) -> int:
         """alpha^e with the exponent reduced mod 2^q - 1."""
-        return int(self.antilog[e % self.order])
+        return self.exp_list[e % self.order]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self.antilog[(self.log[a] + self.log[b]) % self.order])
+        log = self.log_list
+        return self.exp_list[log[a] + log[b]]
 
     def sqr(self, a: int) -> int:
         if a == 0:
             return 0
-        return int(self.antilog[(2 * self.log[a]) % self.order])
+        return self.exp_list[2 * self.log_list[a]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^q)")
-        return int(self.antilog[(self.order - self.log[a]) % self.order])
+        return self.exp_list[self.order - self.log_list[a]]
 
 
 @lru_cache(maxsize=None)

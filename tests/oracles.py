@@ -4,8 +4,8 @@ None of these run in the CLI or the simulator: the finite-pool-size
 recursion checks its large-pool limit `design.de_step_poisson`, the full
 load scan checks the search in `design.optimize_design`, the slot-by-slot
 dict walk checks the multi-edge swap passes of `graphs._try_assemble`, and
-the bitwise syndrome and the decoding table built by enumerating every
-in-range position set check the BCH decoder.
+the bitwise syndrome, the decoding table built by enumerating every in-range
+position set and the all-elimination PGZ decoder check the BCH decoder.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgt import design
-from qgt.bch import ParityCheckMatrix
+from qgt.bch import DecodeFailure, ParityCheckMatrix, _pgz_sigma, _roots_sweep
 from qgt.graphs import MAX_SWAP_PASSES, DegreeProfile
 
 
@@ -153,10 +153,22 @@ def assemble_by_dict(N, M, r, degs, rng):
     return None
 
 
+def block_syndromes(pcm: ParityCheckMatrix, positions) -> list[int]:
+    """Power-sum syndromes S_{2k+1} of an error pattern, one per row block."""
+    f = pcm.field
+    out = []
+    for k in range(pcm.t):
+        acc = 0
+        for p in positions:
+            acc ^= f.alpha_pow((2 * k + 1) * p)
+        out.append(acc)
+    return out
+
+
 def syndrome_of(pcm: ParityCheckMatrix, positions) -> np.ndarray:
     """Binary syndrome (length t*q) of the given column positions."""
     bits = np.zeros(pcm.num_rows, dtype=np.uint8)
-    for k, s in enumerate(pcm.block_syndromes(positions)):
+    for k, s in enumerate(block_syndromes(pcm, positions)):
         for j in range(pcm.q):
             bits[k * pcm.q + j] = (s >> j) & 1
     return bits
@@ -175,3 +187,48 @@ def decode_by_enumeration(pcm: ParityCheckMatrix, w: int) -> dict:
             raise AssertionError(f"positions {table[key]} and {list(pos)} share a syndrome")
         table[key] = list(pos)
     return table
+
+
+def _pack_blocks(pcm: ParityCheckMatrix, bits: np.ndarray) -> list[int]:
+    q = pcm.q
+    weights = 1 << np.arange(q, dtype=np.int64)
+    return [int(bits[k * q : (k + 1) * q].astype(np.int64) @ weights) for k in range(pcm.t)]
+
+
+def pgz_syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) -> list[int]:
+    """bch.syndrome_decode with the locator of every weight from 2 up found by
+    PGZ elimination, the syndrome packed block by block and the candidate
+    rechecked through FieldContext.alpha_pow; same contract and exceptions.
+    """
+    bits = np.asarray(syndrome, dtype=np.int64) & 1
+    if bits.shape != (pcm.num_rows,):
+        raise ValueError(f"syndrome length {bits.shape} does not match {pcm.num_rows} rows")
+    w = expected_weight
+    if not 0 <= w <= pcm.t:
+        raise ValueError(f"expected weight {w} outside [0, {pcm.t}]")
+    blocks = _pack_blocks(pcm, bits)
+    if w == 0:
+        if any(blocks):
+            raise DecodeFailure("nonzero syndrome for an empty pattern")
+        return []
+
+    f = pcm.field
+    # Power sums S_1..S_2w; odd ones are measured, even ones follow by squaring.
+    S = [0] * (2 * w + 1)
+    for k in range(w):
+        S[2 * k + 1] = blocks[k]
+    for i in range(1, w + 1):
+        S[2 * i] = f.sqr(S[i])
+
+    if w == 1:
+        if S[1] == 0:
+            raise DecodeFailure("zero syndrome for a weight-1 pattern")
+        positions = [int(f.log[S[1]])]
+    else:
+        positions = _roots_sweep(pcm, _pgz_sigma(f, S, w), w)
+
+    if len(set(positions)) != w or any(p >= pcm.r for p in positions):
+        raise DecodeFailure("locator roots not a weight-matched in-range set")
+    if block_syndromes(pcm, positions) != blocks:
+        raise DecodeFailure("candidate positions do not reproduce the syndrome")
+    return sorted(positions)

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import decode_by_enumeration, syndrome_of
+from oracles import decode_by_enumeration, pgz_syndrome_decode, syndrome_of
+from qgt import bch
 from qgt.bch import DecodeFailure, build_parity_check, syndrome_decode
 from qgt.gf2m import make_field
 
@@ -83,6 +84,72 @@ def test_every_syndrome_matches_enumeration(t, r):
                     syndrome_decode(pcm, syn, w)
             else:
                 assert syndrome_decode(pcm, syn, w) == expected
+
+
+def _outcome(decode, pcm, syn, w):
+    try:
+        return decode(pcm, syn, w)
+    except DecodeFailure:
+        return "failure"
+
+
+def _zero_sum_triples(pcm, count):
+    """Up to count position triples a < b < c < r with alpha^a + alpha^b + alpha^c = 0."""
+    f = pcm.field
+    out = []
+    for a, b in itertools.combinations(range(pcm.r), 2):
+        c = int(f.log[f.alpha_pow(a) ^ f.alpha_pow(b)])
+        if b < c < pcm.r:
+            out.append([a, b, c])
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize("t,r", [(3, 358), (1, 1003), (2, 1409), (3, 2221), (1, 802), (4, 200)])
+def test_matches_pgz_oracle(t, r):
+    # same set or same failure as elimination at every weight, on random
+    # syndromes, on in-range patterns of weight <= t and on patterns with one
+    # locator beyond r
+    pcm = build_parity_check(t, r)
+    rng = np.random.default_rng(t * 10000 + r)
+    syndromes = []
+    for _ in range(150):
+        syndromes.append(rng.integers(0, 2, size=pcm.num_rows))
+        pos = rng.choice(r, size=int(rng.integers(1, t + 1)), replace=False).tolist()
+        syndromes.append(syndrome_of(pcm, pos))
+        syndromes.append(syndrome_of(pcm, pos[:-1] + [int(rng.integers(r, pcm.n))]))
+    for syn in syndromes:
+        for w in range(t + 1):
+            assert _outcome(syndrome_decode, pcm, syn, w) == _outcome(pgz_syndrome_decode, pcm, syn, w)
+
+
+@pytest.mark.parametrize("t,r", [(3, 358), (3, 2221), (4, 200)])
+def test_weight_3_locators_summing_to_zero(t, r):
+    # S1 = 0 here, yet the three locators are distinct and in range
+    pcm = build_parity_check(t, r)
+    triples = _zero_sum_triples(pcm, 40)
+    assert len(triples) == 40
+    for pos in triples:
+        syn = syndrome_of(pcm, pos)
+        assert not syn[: pcm.q].any()
+        assert syndrome_decode(pcm, syn, 3) == pos == pgz_syndrome_decode(pcm, syn, 3)
+
+
+def test_weights_up_to_3_bypass_elimination(monkeypatch):
+    def elimination(*args):
+        raise AssertionError("PGZ elimination reached")
+
+    monkeypatch.setattr(bch, "_pgz_sigma", elimination)
+    pcm = build_parity_check(4, 200)
+    rng = np.random.default_rng(4)
+    for w in (1, 2, 3):
+        for _ in range(50):
+            pos = sorted(rng.choice(200, size=w, replace=False).tolist())
+            assert syndrome_decode(pcm, syndrome_of(pcm, pos), w) == pos
+            _outcome(syndrome_decode, pcm, rng.integers(0, 2, size=pcm.num_rows), w)
+    with pytest.raises(AssertionError, match="elimination reached"):
+        syndrome_decode(pcm, syndrome_of(pcm, [3, 50, 97, 150]), 4)
 
 
 def test_shortened_r5_all_syndromes():

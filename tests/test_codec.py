@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qgt import codec
 from qgt.codec import (
     DecodeOutcome,
     FormatError,
@@ -125,6 +126,28 @@ def test_decode_conservation_invariant():
 
     out = peel_decode(plan, original, iteration_hook=check)
     assert set(out.identified.tolist()) <= set(support.items.tolist())
+
+
+def test_syndrome_decode_called_positionally_with_int_weight(monkeypatch):
+    # the benchmark times each decoded pool by wrapping codec.syndrome_decode
+    # and reads the weight as its third positional argument
+    calls = []
+    real = codec.syndrome_decode
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "syndrome_decode", spy)
+    p = profile_from_lambda(3, [0.0, 0.2, 0.8])
+    g = sample_graph(60, 18, 9, p, seed=13)
+    plan = TestPlan(g, build_signature(3, 9))
+    support = SupportVector(60, np.array([2, 7, 19, 33, 41, 55]))
+    peel_decode(plan, encode(plan, support))
+    assert len({args[2] for args, _ in calls}) > 1
+    for args, kwargs in calls:
+        assert len(args) == 3 and not kwargs
+        assert type(args[2]) is int
 
 
 def test_stall_reported():

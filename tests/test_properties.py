@@ -5,17 +5,21 @@ Each parser either returns an object whose to_dict gives back the input, up
 to the order of support ids, or raises FormatError; no other exception gets
 out.  Decoding the measurements of a support never names an item outside
 it, and decoding mutated measurements either flags the result or names a
-support whose measurements are exactly those.  The examples are
+support whose measurements are exactly those, and gives the same outcome
+as with the PGZ oracle as its syndrome decoder.  The examples are
 derandomized, so every run tries the same inputs.
 """
 
 import copy
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import pgz_syndrome_decode
+from qgt import codec
 from qgt.codec import FormatError, SupportVector, TestPlan, TestResults, build_signature, encode, peel_decode
 from qgt.graphs import profile_from_lambda, sample_graph
 
@@ -119,8 +123,8 @@ def test_results_parser_round_trips_or_raises_format_error(data):
 
 
 @st.composite
-def plans_and_supports(draw):
-    t = draw(st.integers(1, 3))
+def plans_and_supports(draw, max_t=3):
+    t = draw(st.integers(1, max_t))
     r = draw(st.integers(3, 9))
     N = draw(st.integers(3 * r, 60))
     M = draw(st.integers(3, 12))
@@ -132,6 +136,15 @@ def plans_and_supports(draw):
     plan = TestPlan(graph, build_signature(t, r))
     items = draw(st.lists(st.integers(0, N - 1), unique=True, max_size=8))
     return plan, SupportVector(N, np.array(items, dtype=np.int64))
+
+
+def _mutated_measurements(plan, support, data, min_edits):
+    """The support's measurements with min_edits to 3 entries moved by 1 or 2."""
+    values = encode(plan, support).values.copy()
+    for _ in range(data.draw(st.integers(min_edits, 3))):
+        i = data.draw(st.integers(0, values.size - 1))
+        values[i] = max(values[i] + data.draw(st.sampled_from([-2, -1, 1, 2])), 0)
+    return values
 
 
 @PROPERTY_SETTINGS
@@ -146,12 +159,24 @@ def test_decode_never_names_an_item_outside_the_support(case):
 @given(plans_and_supports(), st.data())
 def test_decode_of_mutated_results_is_flagged_or_exact(case, data):
     plan, support = case
-    values = encode(plan, support).values.copy()
-    for _ in range(data.draw(st.integers(1, 3))):
-        i = data.draw(st.integers(0, values.size - 1))
-        values[i] = max(values[i] + data.draw(st.sampled_from([-2, -1, 1, 2])), 0)
+    values = _mutated_measurements(plan, support, data, min_edits=1)
     results = TestResults(M=plan.M, s=plan.signature.s, values=values)
     out = peel_decode(plan, results)
     if not (out.stalled or out.failed_nodes):
         found = encode(plan, SupportVector(plan.N, out.identified))
         assert np.array_equal(found.values, values)
+
+
+@PROPERTY_SETTINGS
+@given(plans_and_supports(max_t=4), st.data())
+def test_decode_matches_the_pgz_oracle_decoder(case, data):
+    plan, support = case
+    if data.draw(st.booleans()):
+        values = _mutated_measurements(plan, support, data, min_edits=0)
+    else:
+        size = plan.M * plan.signature.s
+        values = np.array(data.draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)), dtype=np.int64)
+    results = TestResults(M=plan.M, s=plan.signature.s, values=values)
+    out = peel_decode(plan, results).to_dict()
+    with mock.patch.object(codec, "syndrome_decode", pgz_syndrome_decode):
+        assert peel_decode(plan, results).to_dict() == out
