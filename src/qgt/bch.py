@@ -12,12 +12,12 @@ Decoding recovers the error-locator polynomial from the power-sum syndromes,
 the expected weight w being known in advance: by Peterson's closed forms for
 w <= 3 and by Peterson-Gorenstein-Zierler elimination for w = 4.  The single
 root of weight 1 is the syndrome itself; the roots of every weight from 2 up
-come from one evaluation sweep over the first r positions.  Every candidate
-position set is re-verified against the full syndrome before it is returned,
-which turns any miscorrection into an explicit failure.  Since the designed
-distance 2t + 1 leaves at most one in-range weight-w set per syndrome for
-w <= t, the result depends on the syndrome alone, not on how the locator was
-found.
+come from one sweep over the first r positions that reads each term as a
+strided slice of one cyclic antilog table.  Every candidate position set is
+re-verified against the full syndrome before it is returned, which turns any
+miscorrection into an explicit failure.  Since the designed distance 2t + 1
+leaves at most one in-range weight-w set per syndrome for w <= t, the result
+depends on the syndrome alone, not on how the locator was found.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ class ParityCheckMatrix:
         return out
 
     @cached_property
-    def sweep_powers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exponents e*i mod n and the powers alpha^(e*i), e = 0..t, i < r."""
-        exps = np.outer(np.arange(self.t + 1), np.arange(self.r)) % self.n
-        return exps, self.field.antilog[exps]
+    def cyclic_powers(self) -> np.ndarray:
+        """alpha^j for 0 <= j < n + t*r, so alpha^(L + e*i) for i < r is the
+        slice [L : L + e*r : e] for any log L < n and any e <= t."""
+        return np.resize(self.field.antilog, self.n + self.t * self.r)
 
     @cached_property
     def block_weights(self) -> np.ndarray:
@@ -131,15 +131,13 @@ def _pgz_sigma(field: FieldContext, S: list[int], w: int) -> list[int]:
 def _roots_sweep(pcm: ParityCheckMatrix, sigma: list[int], w: int) -> list[int]:
     # Evaluate X^w + sigma_1 X^(w-1) + ... + sigma_w at X = alpha^i over the
     # first r positions only; out-of-range roots are simply never found.
-    f = pcm.field
     if sigma[-1] == 0:
         raise DecodeFailure("zero locator root")
-    exps, powers = pcm.sweep_powers
-    acc = powers[w] ^ sigma[-1]
-    for u, a in enumerate(sigma[:-1], start=1):
-        if a:
-            # exps + log a < 2n, so the wrap is the reduction mod n
-            acc ^= f.antilog.take(exps[w - u] + f.log_list[a], mode="wrap")
+    c, r, log = pcm.cyclic_powers, pcm.r, pcm.field.log_list
+    acc = c[: w * r : w] ^ sigma[-1]
+    for e, a in zip(range(w - 1, 0, -1), sigma):
+        if a:  # sigma_u alpha^(e i) = alpha^(log sigma_u + e i) with e = w - u
+            acc ^= c[log[a] : log[a] + e * r : e]
     return (acc == 0).nonzero()[0].tolist()
 
 
@@ -176,8 +174,8 @@ def syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) -> l
     Parameters
     ----------
     pcm : ParityCheckMatrix
-    syndrome : sequence of 0/1 of length t*q, block k in rows k*q..(k+1)*q-1
-        with the bit-j-in-row-j convention of the matrix.
+    syndrome : sequence of integers of length t*q, read mod 2; block k in rows
+        k*q..(k+1)*q-1 with the bit-j-in-row-j convention of the matrix.
     expected_weight : int
         Exact number of error positions, 0 <= expected_weight <= t.
 

@@ -68,6 +68,7 @@ def _emit(text, out):
 
 def _pick_seed(args):
     if args.seed is not None:
+        _require(args.seed >= 0, f"--seed {args.seed} must be a non-negative integer")
         return args.seed
     seed = secrets.randbits(32)
     print(f"seed: {seed}", file=sys.stderr)

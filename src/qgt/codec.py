@@ -111,6 +111,8 @@ class TestPlan:
             N, M, r, t, q = _ints((data[k] for k in ("N", "M", "r", "t", "q")), "N, M, r, t and q")
             adj = data["right_adj"]
             seed = data.get("seed")
+            if seed is not None and (type(seed) is not int or seed < 0):
+                raise ValueError(f"seed must be null or a non-negative integer, got {seed!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad plan object: {exc}") from exc
         _check_version(version, PLAN_FORMAT_VERSION, "plan")
@@ -290,7 +292,7 @@ def peel_decode(
                 progress = True
                 continue
             try:
-                positions = syndrome_decode(pcm, Y[n, 1:] & 1, v)
+                positions = syndrome_decode(pcm, Y[n, 1:], v)
             except DecodeFailure:
                 next_active.add(n)
                 continue

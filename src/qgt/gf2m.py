@@ -99,10 +99,6 @@ class FieldContext:
         powers = self.antilog.tolist()
         return powers + powers
 
-    def alpha_pow(self, e: int) -> int:
-        """alpha^e with the exponent reduced mod 2^q - 1."""
-        return self.exp_list[e % self.order]
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

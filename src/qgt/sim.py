@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -121,8 +122,9 @@ def run_plan_trials(
     bounds = np.linspace(0, trials, min(max(jobs, 1), trials) * 4 + 1 if jobs > 1 else 2).astype(int)
     chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     run = partial(_run_chunk, N, K, t, profile, M, r, seed)
-    if jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)  # the pool forks every worker up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, *zip(*chunks)))
     else:
         parts = [run(lo, hi) for lo, hi in chunks]

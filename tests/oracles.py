@@ -5,7 +5,8 @@ recursion checks its large-pool limit `design.de_step_poisson`, the full
 load scan checks the search in `design.optimize_design`, the slot-by-slot
 dict walk checks the multi-edge swap passes of `graphs._try_assemble`, and
 the bitwise syndrome, the decoding table built by enumerating every in-range
-position set and the all-elimination PGZ decoder check the BCH decoder.
+position set and the all-elimination PGZ decoder, with its own root sweep,
+check the BCH decoder.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgt import design
-from qgt.bch import DecodeFailure, ParityCheckMatrix, _pgz_sigma, _roots_sweep
+from qgt.bch import DecodeFailure, ParityCheckMatrix, _pgz_sigma
+from qgt.gf2m import FieldContext
 from qgt.graphs import MAX_SWAP_PASSES, DegreeProfile
 
 
@@ -153,6 +155,11 @@ def assemble_by_dict(N, M, r, degs, rng):
     return None
 
 
+def alpha_pow(field: FieldContext, e: int) -> int:
+    """alpha^e with the exponent reduced mod 2^q - 1."""
+    return field.exp_list[e % field.order]
+
+
 def block_syndromes(pcm: ParityCheckMatrix, positions) -> list[int]:
     """Power-sum syndromes S_{2k+1} of an error pattern, one per row block."""
     f = pcm.field
@@ -160,7 +167,7 @@ def block_syndromes(pcm: ParityCheckMatrix, positions) -> list[int]:
     for k in range(pcm.t):
         acc = 0
         for p in positions:
-            acc ^= f.alpha_pow((2 * k + 1) * p)
+            acc ^= alpha_pow(f, (2 * k + 1) * p)
         out.append(acc)
     return out
 
@@ -195,10 +202,26 @@ def _pack_blocks(pcm: ParityCheckMatrix, bits: np.ndarray) -> list[int]:
     return [int(bits[k * q : (k + 1) * q].astype(np.int64) @ weights) for k in range(pcm.t)]
 
 
+def roots_by_take(pcm: ParityCheckMatrix, sigma: list[int], w: int) -> list[int]:
+    """bch._roots_sweep with the powers alpha^(e*i) indexed through an
+    exponent table and each middle term gathered by one wrapping take."""
+    f = pcm.field
+    if sigma[-1] == 0:
+        raise DecodeFailure("zero locator root")
+    exps = np.outer(np.arange(w + 1), np.arange(pcm.r)) % pcm.n
+    acc = f.antilog[exps[w]] ^ sigma[-1]
+    for u, a in enumerate(sigma[:-1], start=1):
+        if a:
+            # exps + log a < 2n, so the wrap is the reduction mod n
+            acc ^= f.antilog.take(exps[w - u] + f.log_list[a], mode="wrap")
+    return (acc == 0).nonzero()[0].tolist()
+
+
 def pgz_syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) -> list[int]:
     """bch.syndrome_decode with the locator of every weight from 2 up found by
-    PGZ elimination, the syndrome packed block by block and the candidate
-    rechecked through FieldContext.alpha_pow; same contract and exceptions.
+    PGZ elimination, its roots found by roots_by_take, the syndrome packed
+    block by block and the candidate rechecked through alpha_pow; same
+    contract and exceptions.
     """
     bits = np.asarray(syndrome, dtype=np.int64) & 1
     if bits.shape != (pcm.num_rows,):
@@ -225,7 +248,7 @@ def pgz_syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) 
             raise DecodeFailure("zero syndrome for a weight-1 pattern")
         positions = [int(f.log[S[1]])]
     else:
-        positions = _roots_sweep(pcm, _pgz_sigma(f, S, w), w)
+        positions = roots_by_take(pcm, _pgz_sigma(f, S, w), w)
 
     if len(set(positions)) != w or any(p >= pcm.r for p in positions):
         raise DecodeFailure("locator roots not a weight-matched in-range set")

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import decode_by_enumeration, pgz_syndrome_decode, syndrome_of
+from oracles import alpha_pow, decode_by_enumeration, pgz_syndrome_decode, roots_by_take, syndrome_of
 from qgt import bch
 from qgt.bch import DecodeFailure, build_parity_check, syndrome_decode
 from qgt.gf2m import make_field
@@ -32,7 +32,7 @@ def test_two_error_matrix_second_block_is_cubes():
     assert pcm.rows.shape == (6, 7)
     assert np.array_equal(pcm.rows[:3], H_1_7)
     for i in range(7):
-        val = f.alpha_pow(3 * i)
+        val = alpha_pow(f, 3 * i)
         col = [(val >> j) & 1 for j in range(3)]
         assert pcm.rows[3:, i].tolist() == col
 
@@ -98,7 +98,7 @@ def _zero_sum_triples(pcm, count):
     f = pcm.field
     out = []
     for a, b in itertools.combinations(range(pcm.r), 2):
-        c = int(f.log[f.alpha_pow(a) ^ f.alpha_pow(b)])
+        c = int(f.log[alpha_pow(f, a) ^ alpha_pow(f, b)])
         if b < c < pcm.r:
             out.append([a, b, c])
             if len(out) == count:
@@ -122,6 +122,39 @@ def test_matches_pgz_oracle(t, r):
     for syn in syndromes:
         for w in range(t + 1):
             assert _outcome(syndrome_decode, pcm, syn, w) == _outcome(pgz_syndrome_decode, pcm, syn, w)
+
+
+def _locator(field, roots):
+    """sigma_1..sigma_w of prod (X + alpha^p) over the given positions."""
+    coeffs = [1]
+    for p in roots:
+        x = alpha_pow(field, p)
+        coeffs = [a ^ field.mul(x, b) for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs[1:]
+
+
+@pytest.mark.parametrize("t,r", [(3, 358), (2, 1409), (3, 2221), (4, 200), (4, 255), (3, 511)])
+def test_roots_sweep_matches_take_oracle(t, r):
+    # strided slices of the cyclic table against the exponent-table gather,
+    # on random locators, on locators of in-range and out-of-range root sets,
+    # and with log sigma_u = n - 1 so every slice reaches the end of the table
+    pcm = build_parity_check(t, r)
+    f, n = pcm.field, pcm.n
+    top = alpha_pow(f, n - 1)
+    rng = np.random.default_rng(t * 10000 + r)
+    for w in range(2, t + 1):
+        sigmas = [[top] * (w - 1) + [int(rng.integers(1, n + 1))]]
+        for _ in range(60):
+            sigmas.append(rng.integers(0, n + 1, size=w).tolist())
+            sigmas.append([int(rng.choice([0, top])) for _ in range(w - 1)] + [int(rng.integers(0, n + 1))])
+            roots = rng.choice(n, size=w, replace=False).tolist()
+            sigmas.append(_locator(f, roots))
+            sigmas.append(_locator(f, roots[: w - 2] + [r - 1, n - 1]))
+        for sigma in sigmas:
+            assert _outcome(bch._roots_sweep, pcm, sigma, w) == _outcome(roots_by_take, pcm, sigma, w)
+        # the sweep finds exactly the in-range roots of a known locator
+        roots = sorted(rng.choice(r, size=w, replace=False).tolist())
+        assert bch._roots_sweep(pcm, _locator(f, roots), w) == roots
 
 
 @pytest.mark.parametrize("t,r", [(3, 358), (3, 2221), (4, 200)])

@@ -134,6 +134,8 @@ def test_out_of_regime_plan_exits_2(capsys):
         ["simulate", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--m", "150,0"],
         ["decode", "--plan", "plan.json", "--results", "results.json", "--max-iterations", "0"],
         ["decode", "--plan", "plan.json", "--results", "results.json", "--max-iterations", "-3"],
+        ["simulate", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--trials", "2", "--seed", "-3"],
+        ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--M", "10", "--r", "90", "--seed", "-1"],
     ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, capsys):
@@ -141,6 +143,12 @@ def test_bad_parameters_exit_2_with_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_negative_seed_is_named_in_the_error(capsys):
+    argv = ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--M", "10", "--r", "90", "--seed", "-1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: --seed -1 must be a non-negative integer\n"
 
 
 def test_plan_file_with_bad_t_exits_1(tmp_path, capsys):

@@ -283,11 +283,20 @@ def test_plan_format_errors():
         {"right_adj": [[None] * 7] * 3},
         {"right_adj": [[2**70] * 7] * 3},
         {"right_adj": [row[:-1] for row in EXAMPLE_ADJ.tolist()]},
+        {"seed": "7"},
+        {"seed": 7.0},
+        {"seed": True},
+        {"seed": -1},
     ],
 )
 def test_plan_values_are_not_coerced(change):
     with pytest.raises(FormatError):
         TestPlan.from_dict(dict(example_plan().to_dict(), **change))
+
+
+@pytest.mark.parametrize("seed", [None, 2**70])
+def test_plan_seed_is_null_or_a_non_negative_int(seed):
+    assert TestPlan.from_dict(dict(example_plan().to_dict(), seed=seed)).seed == seed
 
 
 @pytest.mark.parametrize(

@@ -53,11 +53,14 @@ def test_field_axioms_spot_checks():
         f.inv(0)
 
 
-def test_alpha_pow_wraps():
-    f = make_field(3)
-    assert f.alpha_pow(0) == 1
-    assert f.alpha_pow(7) == f.alpha_pow(0)
-    assert f.alpha_pow(-1) == f.alpha_pow(6)
+def test_exp_list_wraps():
+    # the decoder indexes it with sums and differences of two logs, unreduced
+    for q in (2, 3, 8):
+        f = make_field(q)
+        exp = f.exp_list
+        assert len(exp) == 2 * f.order
+        assert exp[: f.order] == f.antilog.tolist()
+        assert all(exp[i] == exp[i + f.order] for i in range(f.order))
 
 
 def test_rejects_bad_polynomials():

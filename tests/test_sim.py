@@ -1,9 +1,11 @@
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from qgt import sim
 from qgt.design import optimize_design
 from qgt.sim import (
     CSV_HEADER,
@@ -56,6 +58,36 @@ def test_run_plan_trials_deterministic_across_jobs():
     )
     c = run_plan_trials(2000, 20, 1, profile, 40, 150, 40, seed=12)
     assert (a.unidentified, a.full_recovery) != (c.unidentified, c.full_recovery)
+
+
+@pytest.mark.parametrize(
+    "jobs,trials,cpus,workers", [(64, 2, 8, 2), (64, 20, 3, 3), (2, 20, 8, 2), (64, 20, None, None)]
+)
+def test_worker_pool_bounded_by_chunks_and_cpus(monkeypatch, jobs, trials, cpus, workers):
+    # a stand-in executor records its size and runs the chunks in process,
+    # so no worker is ever started
+    started = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    profile = optimize_design(1, 3).profile
+    got = run_plan_trials(2000, 20, 1, profile, 40, 150, trials, seed=11, jobs=jobs)
+    assert started == ([workers] if workers else [])
+    ref = run_plan_trials(2000, 20, 1, profile, 40, 150, trials, seed=11, jobs=1)
+    assert dataclasses.replace(got, wall_time=0.0) == dataclasses.replace(ref, wall_time=0.0)
 
 
 def test_report_bookkeeping():
