@@ -78,15 +78,6 @@ class ParityCheckMatrix:
         slice [L : L + e*r : e] for any log L < n and any e <= t."""
         return np.resize(self.field.antilog, self.n + self.t * self.r)
 
-    @cached_property
-    def block_weights(self) -> np.ndarray:
-        """(t*q, t) matrix with 2^j in row k*q + j of column k, so a 0/1
-        syndrome times it gives the t block values S_1, S_3, ..., S_{2t-1}."""
-        out = np.zeros((self.num_rows, self.t), dtype=np.int64)
-        for k in range(self.t):
-            out[k * self.q : (k + 1) * self.q, k] = 1 << np.arange(self.q)
-        return out
-
 
 def field_degree(r: int) -> int:
     """Degree q = ceil(log2(r + 1)) of the smallest field with r nonzero elements."""
@@ -168,14 +159,15 @@ def _sigma_closed_form(field: FieldContext, blocks: list[int], w: int) -> list[i
     return [S1, sigma2, sigma3]
 
 
-def syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) -> list[int]:
+def syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> list[int]:
     """Column positions (sorted, 0-based) whose XOR equals the syndrome.
 
     Parameters
     ----------
     pcm : ParityCheckMatrix
-    syndrome : sequence of integers of length t*q, read mod 2; block k in rows
-        k*q..(k+1)*q-1 with the bit-j-in-row-j convention of the matrix.
+    blocks : sequence of t integers in [0, 2^q)
+        The syndrome block by block, S_1, S_3, ..., S_{2t-1}: bit j of block
+        k is row k*q + j of the matrix.
     expected_weight : int
         Exact number of error positions, 0 <= expected_weight <= t.
 
@@ -185,13 +177,11 @@ def syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) -> l
         When no in-range position set of the expected weight reproduces the
         syndrome.  For shortened matrices this includes locators beyond r.
     """
-    bits = np.asarray(syndrome, dtype=np.int64)
-    if bits.shape != (pcm.num_rows,):
-        raise ValueError(f"syndrome length {bits.shape} does not match {pcm.num_rows} rows")
+    if len(blocks) != pcm.t or min(blocks) < 0 or max(blocks) > pcm.n:
+        raise ValueError(f"need {pcm.t} syndrome blocks in [0, 2^{pcm.q}), got {list(blocks)}")
     w = expected_weight
     if not 0 <= w <= pcm.t:
         raise ValueError(f"expected weight {w} outside [0, {pcm.t}]")
-    blocks = ((bits & 1) @ pcm.block_weights).tolist()
     if w == 0:
         if any(blocks):
             raise DecodeFailure("nonzero syndrome for an empty pattern")

@@ -12,12 +12,17 @@ block; the identified items' signature columns are subtracted from their
 other pools, and the process repeats until nothing changes.  Pool
 eligibility within a pass is fixed by the counts at the start of the pass, so
 the pass index matches the round-by-round schedule that density evolution
-tracks; subtractions themselves are applied immediately.
+tracks.  A pass's subtractions are applied together at its end: within a
+pass only the items found earlier in it change a pool's block, so each pool
+is read at its turn as its start-of-pass block minus those items' columns,
+which is exactly the residual that subtracting each item at once would give.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +61,27 @@ class SignatureMatrix:
     r: int
     matrix: np.ndarray = field(repr=False)
     parity: ParityCheckMatrix = field(repr=False)
+
+    @cached_property
+    def packed_columns(self) -> tuple[list[int], list[int]]:
+        """Per column, its parity rows as one int with row i at bit i (the t
+        syndrome blocks of q bits each, end to end), and their exact code
+        with row i at bits 3i..3i+2."""
+        cols = self.matrix[1:].T
+        return _pack_rows(cols, 1), _pack_rows(cols, 3)
+
+
+def _pack_rows(A: np.ndarray, width: int) -> list[int]:
+    """Each row of A as one int with entry j at bits j*width..(j+1)*width-1;
+    the entries must lie in [0, 2^width).  The rows are packed in int64
+    words of 63 // width entries, joined as Python ints past the first."""
+    per = 63 // width
+    out = None
+    for lo in range(0, A.shape[1], per):
+        part = A[:, lo : lo + per]
+        word = (part @ (1 << width * np.arange(part.shape[1], dtype=np.int64))).tolist()
+        out = word if out is None else [a | b << (lo * width) for a, b in zip(out, word)]
+    return out
 
 
 def tests_per_pool(t: int, r: int) -> int:
@@ -220,6 +246,13 @@ class DecodeOutcome:
         }
 
 
+def _incident_slots(g: BipartiteGraph, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR slots of the given items, item by item, and their degrees."""
+    lo = g.left_ptr[items]
+    deg = g.left_ptr[items + 1] - lo
+    return np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum()), deg
+
+
 def encode(plan: TestPlan, support: SupportVector) -> TestResults:
     """Measurement blocks: per pool, the sum of its defective members' columns."""
     if support.N != plan.N:
@@ -227,11 +260,8 @@ def encode(plan: TestPlan, support: SupportVector) -> TestResults:
     g, sig = plan.graph, plan.signature
     Y = np.zeros((g.M, sig.s), dtype=np.int64)
     if support.items.size:
-        slots = np.concatenate(
-            [np.arange(g.left_ptr[v], g.left_ptr[v + 1]) for v in support.items.tolist()]
-        )
-        cols = sig.matrix.T[g.left_pos[slots]]
-        np.add.at(Y, g.left_node[slots], cols)
+        slots, _ = _incident_slots(g, support.items)
+        np.add.at(Y, g.left_node[slots], sig.matrix.T[g.left_pos[slots]])
     return TestResults(M=g.M, s=sig.s, values=Y.ravel())
 
 
@@ -244,26 +274,38 @@ def peel_decode(
     """Iterative peeling recovery.
 
     Each pass resolves the pools whose residual count was <= t when the pass
-    started: the residual parity rows are syndrome-decoded and the located
-    items subtracted from all their pools.  A pool is resolved only when that
-    leaves its whole residual block at zero, and counts as resolved at the
-    end only if its block is still zero then, so measurements no support can
-    produce are never reported as recovered.  A DecodeFailure or such a
-    mismatch leaves the pool unresolved for a later retry.  The decoder
-    stops when a pass makes no progress or after max_iterations passes
-    (default M + 1, which never truncates a productive run).
+    started, in pool order: the residual parity rows are syndrome-decoded and
+    the located items subtracted from all their pools.  A pool is resolved
+    only when that leaves its whole residual block at zero, and counts as
+    resolved at the end only if its block is still zero then, so
+    measurements no support can produce are never reported as recovered.  A
+    DecodeFailure or such a mismatch leaves the pool unresolved for a later
+    retry.  The decoder stops when a pass makes no progress or after
+    max_iterations passes (default M + 1, which never truncates a productive
+    run).
+
+    A pass's subtractions are applied together at its end, before
+    iteration_hook sees the blocks.  The pass's pools are read once as it
+    starts, as Python ints: the count, the parity bits, and a code of 3 bits
+    per parity entry (-1 if one lies outside 0..7).  At its turn a pool's
+    residual is that minus the columns of the items found earlier in the
+    pass, the only ones that changed it; a sum of at most t <= 4 column
+    codes never carries, so the residual certificate is one int comparison.
     """
     g, sig = plan.graph, plan.signature
-    M, s, t = g.M, sig.s, plan.t
+    M, s, t, q = g.M, sig.s, plan.t, sig.q
     if results.M != M or results.s != s:
         raise ValueError("results shape does not match plan")
     if max_iterations is None:
         max_iterations = M + 1
     Y = results.blocks.astype(np.int64, copy=True)
-    U = sig.matrix
     pcm = sig.parity
+    col_parity, col_code = sig.packed_columns
+    shifts = range(0, t * q, q)
+    low = (1 << q) - 1
+    adj, ptr, node, pos = g.right_adj, g.left_ptr, g.left_node, g.left_pos
 
-    is_defective_found = np.zeros(g.N, dtype=bool)
+    found = bytearray(g.N)
     identified: list[int] = []
     resolved = np.zeros(M, dtype=bool)
     active = np.arange(M, dtype=np.int64)
@@ -271,54 +313,80 @@ def peel_decode(
     per_iter: list[int] = []
 
     while active.size and iterations < max_iterations:
-        counts = Y[active, 0]
-        eligible = active[(counts <= t) & ~resolved[active]]
+        eligible = active[(Y[active, 0] <= t) & ~resolved[active]]
         iterations += 1
-        next_active: set[int] = set()
-        newly = 0
-        progress = False
-        for n in eligible.tolist():
-            v = int(Y[n, 0])
+        blocks = Y[eligible]
+        counts = blocks[:, 0].tolist()
+        parities = _pack_rows(blocks[:, 1:] & 1, 1)
+        # a pool with an entry outside 0..7 gets code -1, which no sum of
+        # column codes equals
+        codes = _pack_rows(blocks[:, 1:], 3)
+        for i in np.flatnonzero((blocks[:, 1:] & ~7).any(axis=1)).tolist():
+            codes[i] = -1
+        earlier = defaultdict(list)  # pool -> positions of items found earlier in the pass
+        requeued: list[int] = []
+        done: list[int] = []
+        done_turns: list[int] = []
+        finder_turns: list[int] = []  # per item found in the pass
+        items_found: list[int] = []
+        for turn, (n, v, parity, code) in enumerate(zip(eligible.tolist(), counts, parities, codes)):
+            for p in earlier.get(n, ()):
+                v -= 1
+                parity ^= col_parity[p]
+                code -= col_code[p]
             if v < 0:
                 # only possible on inconsistent input; the pool can never
                 # become valid again, so leave it for the failure accounting
                 continue
             if v == 0:
-                if Y[n, 1:].any():
+                if code:
                     # parity residue with no defective left: no support fits
-                    next_active.add(n)
+                    requeued.append(n)
                     continue
-                resolved[n] = True
-                progress = True
-                continue
-            try:
-                positions = syndrome_decode(pcm, Y[n, 1:], v)
-            except DecodeFailure:
-                next_active.add(n)
-                continue
-            items = g.right_adj[n, positions]
-            # the syndrome matches mod 2 only: the located columns must also sum
-            # to the residual exactly, and none of them may be peeled already
-            if is_defective_found[items].any() or (Y[n, 1:] != U[1:, positions].sum(axis=1)).any():
-                next_active.add(n)
-                continue
-            for item in items.tolist():
-                is_defective_found[item] = True
-                identified.append(item)
-                lo, hi = g.left_ptr[item], g.left_ptr[item + 1]
-                for node2, pos2 in zip(g.left_node[lo:hi].tolist(), g.left_pos[lo:hi].tolist()):
-                    Y[node2] -= U[:, pos2]
-                    if node2 != n and not resolved[node2]:
-                        next_active.add(node2)
-            resolved[n] = True
-            progress = True
-            newly += len(items)
-        per_iter.append(newly)
+            else:
+                try:
+                    positions = syndrome_decode(pcm, [parity >> k & low for k in shifts], v)
+                except DecodeFailure:
+                    requeued.append(n)
+                    continue
+                items = [adj.item(n, p) for p in positions]
+                # the syndrome matches mod 2 only: the located columns must also sum
+                # to the residual exactly, and none of them may be peeled already
+                if any(found[x] for x in items) or code != sum(col_code[p] for p in positions):
+                    requeued.append(n)
+                    continue
+                for x in items:
+                    found[x] = 1
+                    for slot in range(ptr.item(x), ptr.item(x + 1)):
+                        n2 = node.item(slot)
+                        if n2 != n:
+                            earlier[n2].append(pos.item(slot))
+                items_found += items
+                finder_turns += [turn] * len(items)
+            done.append(n)
+            done_turns.append(turn)
+        identified += items_found
+        per_iter.append(len(items_found))
+
+        # the turn each pool was resolved at: -1 before the pass, past the
+        # last turn if not at all
+        resolved_turn = np.where(resolved, -1, len(counts))
+        resolved_turn[done] = done_turns
+        resolved[done] = True
+        next_active = np.zeros(M, dtype=bool)
+        next_active[requeued] = True
+        if items_found:
+            slots, deg = _incident_slots(g, np.array(items_found, dtype=np.int64))
+            nodes = node[slots]
+            np.subtract.at(Y, nodes, sig.matrix.T[pos[slots]])
+            # a pool of item x is retried unless it was resolved by the time
+            # x was found, which includes x's own finder
+            next_active[nodes[resolved_turn[nodes] > np.repeat(finder_turns, deg)]] = True
         if iteration_hook is not None:
             iteration_hook(iterations, Y, identified)
-        if not progress:
+        if not done:
             break
-        active = np.fromiter(sorted(next_active), dtype=np.int64, count=len(next_active))
+        active = np.flatnonzero(next_active)
 
     # an item located in one pool may also sit in a pool resolved earlier
     # and drive that pool's residual below zero

@@ -1,0 +1,79 @@
+"""Digests of seeded decodes, for showing that a change to the decoder leaves
+its outputs identical.
+
+Run from the root of a source checkout:
+
+    python tests/decode_digest.py
+
+and compare the printed lines with those of the other tree.  The script
+runs `sim.run_plan_trials` at the three desk operating points (N = 2^16,
+K = 100; 3 trials each, seeds 1-6) and at the dense point (N = 2^20,
+K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
+
+- the `DecodeOutcome.to_dict` of each run's first trial,
+- each run's report, with its wall time zeroed,
+- every `codec.syndrome_decode` call, as its weight and its t syndrome
+  blocks in order.
+
+A tree whose decoder still takes the t*q syndrome bits has them packed into
+blocks here, so trees on either side of that change give the same digests.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from qgt import codec, design, sim  # noqa: E402
+
+DESK = (2**16, 100, [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)], 3, range(1, 7))
+DENSE = (2**20, 10**4, [(3, 2, 1.5)], 1, range(1, 5))
+
+
+def _blocks(pcm, syndrome) -> list[int]:
+    if len(syndrome) == pcm.t:
+        return [int(b) for b in syndrome]
+    bits = np.asarray(syndrome, dtype=np.int64) & 1
+    return (bits.reshape(pcm.t, pcm.q) @ (1 << np.arange(pcm.q, dtype=np.int64))).tolist()
+
+
+def main():
+    calls, outcomes = [], []
+    real_decode, real_peel = codec.syndrome_decode, sim.peel_decode
+
+    def spy_decode(pcm, syndrome, w):
+        calls.append((w, _blocks(pcm, syndrome)))
+        return real_decode(pcm, syndrome, w)
+
+    def spy_peel(plan, results):
+        out = real_peel(plan, results)
+        outcomes.append(out.to_dict())
+        return out
+
+    codec.syndrome_decode, sim.peel_decode = spy_decode, spy_peel
+    first, reports = [], []
+    for N, K, points, trials, seeds in (DESK, DENSE):
+        for t, d, margin in points:
+            res = design.optimize_design(t, d)
+            plan = design.make_plan(N, K, res, margin=margin)
+            for seed in seeds:
+                outcomes.clear()
+                rep = sim.run_plan_trials(N, K, t, res.profile, plan.M, plan.r, trials, seed)
+                first.append(outcomes[0])
+                reports.append(dataclasses.asdict(dataclasses.replace(rep, wall_time=0.0)))
+
+    for name, data in [("first-trial outcomes", first), ("reports", reports), ("syndrome_decode calls", calls)]:
+        digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+        print(f"{name} ({len(data)}): {digest}")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,7 +6,8 @@ load scan checks the search in `design.optimize_design`, the slot-by-slot
 dict walk checks the multi-edge swap passes of `graphs._try_assemble`, and
 the bitwise syndrome, the decoding table built by enumerating every in-range
 position set and the all-elimination PGZ decoder, with its own root sweep,
-check the BCH decoder.
+check the BCH decoder, and the peeling loop that subtracts each found item
+at once checks the pass-level peeler `codec.peel_decode`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qgt import design
+from qgt import codec, design
 from qgt.bch import DecodeFailure, ParityCheckMatrix, _pgz_sigma
 from qgt.gf2m import FieldContext
 from qgt.graphs import MAX_SWAP_PASSES, DegreeProfile
@@ -196,10 +197,14 @@ def decode_by_enumeration(pcm: ParityCheckMatrix, w: int) -> dict:
     return table
 
 
-def _pack_blocks(pcm: ParityCheckMatrix, bits: np.ndarray) -> list[int]:
-    q = pcm.q
-    weights = 1 << np.arange(q, dtype=np.int64)
-    return [int(bits[k * q : (k + 1) * q].astype(np.int64) @ weights) for k in range(pcm.t)]
+def pack_blocks(pcm: ParityCheckMatrix, bits) -> list[int]:
+    """The t syndrome blocks S_1, S_3, ... of a length-t*q syndrome read mod 2,
+    as the decoders take them: bit j of block k is row k*q + j."""
+    bits = np.asarray(bits, dtype=np.int64) & 1
+    if bits.shape != (pcm.num_rows,):
+        raise ValueError(f"syndrome length {bits.shape} does not match {pcm.num_rows} rows")
+    weights = 1 << np.arange(pcm.q, dtype=np.int64)
+    return (bits.reshape(pcm.t, pcm.q) @ weights).tolist()
 
 
 def roots_by_take(pcm: ParityCheckMatrix, sigma: list[int], w: int) -> list[int]:
@@ -217,19 +222,17 @@ def roots_by_take(pcm: ParityCheckMatrix, sigma: list[int], w: int) -> list[int]
     return (acc == 0).nonzero()[0].tolist()
 
 
-def pgz_syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) -> list[int]:
+def pgz_syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> list[int]:
     """bch.syndrome_decode with the locator of every weight from 2 up found by
-    PGZ elimination, its roots found by roots_by_take, the syndrome packed
-    block by block and the candidate rechecked through alpha_pow; same
-    contract and exceptions.
+    PGZ elimination, its roots found by roots_by_take and the candidate
+    rechecked through alpha_pow; same contract and exceptions.
     """
-    bits = np.asarray(syndrome, dtype=np.int64) & 1
-    if bits.shape != (pcm.num_rows,):
-        raise ValueError(f"syndrome length {bits.shape} does not match {pcm.num_rows} rows")
+    blocks = list(blocks)
+    if len(blocks) != pcm.t or not all(0 <= b < 1 << pcm.q for b in blocks):
+        raise ValueError(f"need {pcm.t} syndrome blocks in [0, 2^{pcm.q}), got {blocks}")
     w = expected_weight
     if not 0 <= w <= pcm.t:
         raise ValueError(f"expected weight {w} outside [0, {pcm.t}]")
-    blocks = _pack_blocks(pcm, bits)
     if w == 0:
         if any(blocks):
             raise DecodeFailure("nonzero syndrome for an empty pattern")
@@ -255,3 +258,95 @@ def pgz_syndrome_decode(pcm: ParityCheckMatrix, syndrome, expected_weight: int) 
     if block_syndromes(pcm, positions) != blocks:
         raise DecodeFailure("candidate positions do not reproduce the syndrome")
     return sorted(positions)
+
+
+def peel_decode_stepwise(
+    plan: codec.TestPlan,
+    results: codec.TestResults,
+    max_iterations: int | None = None,
+    iteration_hook=None,
+) -> codec.DecodeOutcome:
+    """codec.peel_decode with each found item subtracted from its pools at
+    once, row by row, and each pool's residual read from the measurement
+    blocks at its turn and packed by pack_blocks for codec.syndrome_decode;
+    same contract, and the same decoder calls in the same order.
+    """
+    g, sig = plan.graph, plan.signature
+    M, s, t = g.M, sig.s, plan.t
+    if results.M != M or results.s != s:
+        raise ValueError("results shape does not match plan")
+    if max_iterations is None:
+        max_iterations = M + 1
+    Y = results.blocks.astype(np.int64, copy=True)
+    U = sig.matrix
+    pcm = sig.parity
+
+    is_defective_found = np.zeros(g.N, dtype=bool)
+    identified: list[int] = []
+    resolved = np.zeros(M, dtype=bool)
+    active = np.arange(M, dtype=np.int64)
+    iterations = 0
+    per_iter: list[int] = []
+
+    while active.size and iterations < max_iterations:
+        counts = Y[active, 0]
+        eligible = active[(counts <= t) & ~resolved[active]]
+        iterations += 1
+        next_active: set[int] = set()
+        newly = 0
+        progress = False
+        for n in eligible.tolist():
+            v = int(Y[n, 0])
+            if v < 0:
+                # only possible on inconsistent input; the pool can never
+                # become valid again, so leave it for the failure accounting
+                continue
+            if v == 0:
+                if Y[n, 1:].any():
+                    # parity residue with no defective left: no support fits
+                    next_active.add(n)
+                    continue
+                resolved[n] = True
+                progress = True
+                continue
+            try:
+                positions = codec.syndrome_decode(pcm, pack_blocks(pcm, Y[n, 1:]), v)
+            except DecodeFailure:
+                next_active.add(n)
+                continue
+            items = g.right_adj[n, positions]
+            # the syndrome matches mod 2 only: the located columns must also sum
+            # to the residual exactly, and none of them may be peeled already
+            if is_defective_found[items].any() or (Y[n, 1:] != U[1:, positions].sum(axis=1)).any():
+                next_active.add(n)
+                continue
+            for item in items.tolist():
+                is_defective_found[item] = True
+                identified.append(item)
+                lo, hi = g.left_ptr[item], g.left_ptr[item + 1]
+                for node2, pos2 in zip(g.left_node[lo:hi].tolist(), g.left_pos[lo:hi].tolist()):
+                    Y[node2] -= U[:, pos2]
+                    if node2 != n and not resolved[node2]:
+                        next_active.add(node2)
+            resolved[n] = True
+            progress = True
+            newly += len(items)
+        per_iter.append(newly)
+        if iteration_hook is not None:
+            iteration_hook(iterations, Y, identified)
+        if not progress:
+            break
+        active = np.fromiter(sorted(next_active), dtype=np.int64, count=len(next_active))
+
+    # an item located in one pool may also sit in a pool resolved earlier
+    # and drive that pool's residual below zero
+    resolved &= ~Y.any(axis=1)
+    open_counts = Y[~resolved, 0]
+    return codec.DecodeOutcome(
+        identified=np.asarray(sorted(identified), dtype=np.int64),
+        iterations=iterations,
+        resolved_nodes=int(resolved.sum()),
+        stalled=bool((open_counts > t).any()),
+        failed_nodes=int((open_counts <= t).sum()),
+        identified_per_iteration=per_iter,
+    )

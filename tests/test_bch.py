@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import alpha_pow, decode_by_enumeration, pgz_syndrome_decode, roots_by_take, syndrome_of
+from oracles import alpha_pow, decode_by_enumeration, pack_blocks, pgz_syndrome_decode, roots_by_take, syndrome_of
 from qgt import bch
 from qgt.bch import DecodeFailure, build_parity_check, syndrome_decode
 from qgt.gf2m import make_field
@@ -64,7 +64,7 @@ def test_round_trip_small():
             pcm = build_parity_check(t, r)
             for w in range(t + 1):
                 for pos in itertools.combinations(range(r), w):
-                    got = syndrome_decode(pcm, syndrome_of(pcm, list(pos)), w)
+                    got = syndrome_decode(pcm, pack_blocks(pcm, syndrome_of(pcm, list(pos))), w)
                     assert got == sorted(pos)
 
 
@@ -79,11 +79,12 @@ def test_every_syndrome_matches_enumeration(t, r):
         table = decode_by_enumeration(pcm, w)
         for syn in syndromes.astype(np.uint8):
             expected = table.get(syn.tobytes())
+            blocks = pack_blocks(pcm, syn)
             if expected is None:
                 with pytest.raises(DecodeFailure):
-                    syndrome_decode(pcm, syn, w)
+                    syndrome_decode(pcm, blocks, w)
             else:
-                assert syndrome_decode(pcm, syn, w) == expected
+                assert syndrome_decode(pcm, blocks, w) == expected
 
 
 def _outcome(decode, pcm, syn, w):
@@ -120,8 +121,9 @@ def test_matches_pgz_oracle(t, r):
         syndromes.append(syndrome_of(pcm, pos))
         syndromes.append(syndrome_of(pcm, pos[:-1] + [int(rng.integers(r, pcm.n))]))
     for syn in syndromes:
+        blocks = pack_blocks(pcm, syn)
         for w in range(t + 1):
-            assert _outcome(syndrome_decode, pcm, syn, w) == _outcome(pgz_syndrome_decode, pcm, syn, w)
+            assert _outcome(syndrome_decode, pcm, blocks, w) == _outcome(pgz_syndrome_decode, pcm, blocks, w)
 
 
 def _locator(field, roots):
@@ -166,7 +168,8 @@ def test_weight_3_locators_summing_to_zero(t, r):
     for pos in triples:
         syn = syndrome_of(pcm, pos)
         assert not syn[: pcm.q].any()
-        assert syndrome_decode(pcm, syn, 3) == pos == pgz_syndrome_decode(pcm, syn, 3)
+        blocks = pack_blocks(pcm, syn)
+        assert syndrome_decode(pcm, blocks, 3) == pos == pgz_syndrome_decode(pcm, blocks, 3)
 
 
 def test_weights_up_to_3_bypass_elimination(monkeypatch):
@@ -179,10 +182,10 @@ def test_weights_up_to_3_bypass_elimination(monkeypatch):
     for w in (1, 2, 3):
         for _ in range(50):
             pos = sorted(rng.choice(200, size=w, replace=False).tolist())
-            assert syndrome_decode(pcm, syndrome_of(pcm, pos), w) == pos
-            _outcome(syndrome_decode, pcm, rng.integers(0, 2, size=pcm.num_rows), w)
+            assert syndrome_decode(pcm, pack_blocks(pcm, syndrome_of(pcm, pos)), w) == pos
+            _outcome(syndrome_decode, pcm, pack_blocks(pcm, rng.integers(0, 2, size=pcm.num_rows)), w)
     with pytest.raises(AssertionError, match="elimination reached"):
-        syndrome_decode(pcm, syndrome_of(pcm, [3, 50, 97, 150]), 4)
+        syndrome_decode(pcm, pack_blocks(pcm, syndrome_of(pcm, [3, 50, 97, 150])), 4)
 
 
 def test_shortened_r5_all_syndromes():
@@ -192,7 +195,7 @@ def test_shortened_r5_all_syndromes():
     assert pcm.q == 3
     f = make_field(3)
     for val in range(8):
-        syn = np.array([(val >> j) & 1 for j in range(3)], dtype=np.uint8)
+        syn = pack_blocks(pcm, [(val >> j) & 1 for j in range(3)])
         if val == 0:
             with pytest.raises(DecodeFailure):
                 syndrome_decode(pcm, syn, 1)
@@ -205,9 +208,9 @@ def test_shortened_r5_all_syndromes():
 
 def test_weight_zero():
     pcm = build_parity_check(2, 7)
-    assert syndrome_decode(pcm, np.zeros(6, np.uint8), 0) == []
+    assert syndrome_decode(pcm, pack_blocks(pcm, np.zeros(6, np.uint8)), 0) == []
     with pytest.raises(DecodeFailure):
-        syndrome_decode(pcm, syndrome_of(pcm, [2]), 0)
+        syndrome_decode(pcm, pack_blocks(pcm, syndrome_of(pcm, [2])), 0)
 
 
 def test_overweight_pattern_never_slips_through():
@@ -218,7 +221,7 @@ def test_overweight_pattern_never_slips_through():
     for pos in itertools.combinations(range(7), 3):
         syn = syndrome_of(pcm, list(pos))
         try:
-            got = syndrome_decode(pcm, syn, 2)
+            got = syndrome_decode(pcm, pack_blocks(pcm, syn), 2)
         except DecodeFailure:
             continue
         returned += 1
@@ -235,7 +238,7 @@ def test_random_syndromes_fail_or_verify():
         syn = rng.integers(0, 2, size=pcm.num_rows).astype(np.uint8)
         for w in range(1, 4):
             try:
-                got = syndrome_decode(pcm, syn, w)
+                got = syndrome_decode(pcm, pack_blocks(pcm, syn), w)
             except DecodeFailure:
                 continue
             assert len(got) == w
@@ -245,9 +248,14 @@ def test_random_syndromes_fail_or_verify():
 def test_contract_violations():
     pcm = build_parity_check(2, 7)
     with pytest.raises(ValueError):
-        syndrome_decode(pcm, np.zeros(5, np.uint8), 1)  # bad length
-    with pytest.raises(ValueError):
-        syndrome_decode(pcm, np.zeros(6, np.uint8), 3)  # above capability
+        pack_blocks(pcm, np.zeros(5, np.uint8))  # bad length
+    for decode in (syndrome_decode, pgz_syndrome_decode):
+        for blocks in ([0], [0, 0, 0], [], [8, 0], [-1, 0]):  # bad block count or value
+            with pytest.raises(ValueError):
+                decode(pcm, blocks, 1)
+        with pytest.raises(ValueError):
+            decode(pcm, [0, 0], 3)  # above capability
+        _outcome(decode, pcm, [7, 7], 2)  # the largest block value is in range
     with pytest.raises(ValueError):
         build_parity_check(5, 7)
     with pytest.raises(ValueError):

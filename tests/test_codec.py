@@ -130,7 +130,8 @@ def test_decode_conservation_invariant():
 
 def test_syndrome_decode_called_positionally_with_int_weight(monkeypatch):
     # the benchmark times each decoded pool by wrapping codec.syndrome_decode
-    # and reads the weight as its third positional argument
+    # and reads the weight as its third positional argument; the syndrome
+    # goes in as its t block values
     calls = []
     real = codec.syndrome_decode
 
@@ -148,6 +149,7 @@ def test_syndrome_decode_called_positionally_with_int_weight(monkeypatch):
     for args, kwargs in calls:
         assert len(args) == 3 and not kwargs
         assert type(args[2]) is int
+        assert len(args[1]) == plan.t and all(type(b) is int for b in args[1])
 
 
 def test_stall_reported():

@@ -6,11 +6,13 @@ to the order of support ids, or raises FormatError; no other exception gets
 out.  Decoding the measurements of a support never names an item outside
 it, and decoding mutated measurements either flags the result or names a
 support whose measurements are exactly those, and gives the same outcome
-as with the PGZ oracle as its syndrome decoder.  The examples are
+as with the PGZ oracle as its syndrome decoder and as the stepwise peeling
+oracle, with the same syndrome decoder calls.  The examples are
 derandomized, so every run tries the same inputs.
 """
 
 import copy
+import functools
 import json
 from unittest import mock
 
@@ -18,10 +20,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import pgz_syndrome_decode
-from qgt import codec
+from oracles import peel_decode_stepwise, pgz_syndrome_decode
+from qgt import codec, design
 from qgt.codec import FormatError, SupportVector, TestPlan, TestResults, build_signature, encode, peel_decode
-from qgt.graphs import profile_from_lambda, sample_graph
+from qgt.graphs import BipartiteGraph, profile_from_lambda, sample_graph
+from qgt.sim import sample_support
 
 PROPERTY_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -167,16 +170,78 @@ def test_decode_of_mutated_results_is_flagged_or_exact(case, data):
         assert np.array_equal(found.values, values)
 
 
-@PROPERTY_SETTINGS
-@given(plans_and_supports(max_t=4), st.data())
-def test_decode_matches_the_pgz_oracle_decoder(case, data):
-    plan, support = case
+def _mutated_or_random_results(plan, support, data):
+    """The support's measurements with up to 3 edits, or random small values."""
     if data.draw(st.booleans()):
         values = _mutated_measurements(plan, support, data, min_edits=0)
     else:
         size = plan.M * plan.signature.s
         values = np.array(data.draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)), dtype=np.int64)
-    results = TestResults(M=plan.M, s=plan.signature.s, values=values)
+    return TestResults(M=plan.M, s=plan.signature.s, values=values)
+
+
+@PROPERTY_SETTINGS
+@given(plans_and_supports(max_t=4), st.data())
+def test_decode_matches_the_pgz_oracle_decoder(case, data):
+    plan, support = case
+    results = _mutated_or_random_results(plan, support, data)
     out = peel_decode(plan, results).to_dict()
     with mock.patch.object(codec, "syndrome_decode", pgz_syndrome_decode):
         assert peel_decode(plan, results).to_dict() == out
+
+
+# t*q = 64 > 62: the pool states no longer fit one int64 word
+WIDE_T, WIDE_R = 4, 2**15
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_signature():
+    return build_signature(WIDE_T, WIDE_R)
+
+
+@st.composite
+def wide_plans_and_supports(draw):
+    """Pools of r = 2^15 distinct items among slightly more, t = 4, q = 16."""
+    N = draw(st.integers(WIDE_R + 1, WIDE_R + 3000))
+    M = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    adj = np.sort(np.array([rng.choice(N, size=WIDE_R, replace=False) for _ in range(M)]), axis=1)
+    plan = TestPlan(BipartiteGraph(N, M, WIDE_R, adj), _wide_signature())
+    items = draw(st.lists(st.integers(0, N - 1), unique=True, max_size=6))
+    return plan, SupportVector(N, np.array(items, dtype=np.int64))
+
+
+def _decode_with_calls(decode, plan, results):
+    """decode's outcome as a dict, and the weight and blocks of every
+    syndrome_decode call it made, in order."""
+    calls = []
+    real = codec.syndrome_decode
+
+    def spy(pcm, blocks, w):
+        calls.append((w, list(blocks)))
+        return real(pcm, blocks, w)
+
+    with mock.patch.object(codec, "syndrome_decode", spy):
+        return decode(plan, results).to_dict(), calls
+
+
+@PROPERTY_SETTINGS
+@given(plans_and_supports(max_t=4) | wide_plans_and_supports(), st.data())
+def test_peeler_matches_the_stepwise_oracle(case, data):
+    plan, support = case
+    results = _mutated_or_random_results(plan, support, data)
+    got = _decode_with_calls(peel_decode, plan, results)
+    assert got == _decode_with_calls(peel_decode_stepwise, plan, results)
+
+
+def test_peeler_matches_the_stepwise_oracle_at_the_desk_points():
+    N, K = 2**16, 100
+    for t, d, margin in [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)]:
+        res = design.optimize_design(t, d)
+        sizes = design.make_plan(N, K, res, margin=margin)
+        sig = build_signature(t, sizes.r)
+        for seed in (1, 2, 3):
+            plan = TestPlan(sample_graph(N, sizes.M, sizes.r, res.profile, seed), sig)
+            results = encode(plan, sample_support(N, K / N, seed))
+            got = _decode_with_calls(peel_decode, plan, results)
+            assert got[1] and got == _decode_with_calls(peel_decode_stepwise, plan, results)
