@@ -3,70 +3,8 @@
 Measurements count defectives with small integer weights; decoding peels
 low-count tests with a syndrome decoder and propagates resolved items
 through the pooling graph.
+
+The package root exports nothing, so importing one submodule loads only what
+that submodule needs: import the submodules themselves (``from qgt import
+codec``).
 """
-
-from .bch import DecodeFailure, ParityCheckMatrix, build_parity_check, syndrome_decode
-from .codec import (
-    DecodeOutcome,
-    FormatError,
-    SignatureMatrix,
-    SupportVector,
-    TestPlan,
-    TestResults,
-    build_signature,
-    encode,
-    peel_decode,
-)
-from .design import (
-    DesignResult,
-    Infeasible,
-    OutOfRegime,
-    Plan,
-    baseline_tests,
-    de_poisson_trajectory,
-    lp_optimize_profile,
-    make_plan,
-    optimize_design,
-    proposed_tests,
-)
-from .gf2m import FieldContext, make_field
-from .graphs import BipartiteGraph, DegreeProfile, profile_from_lambda, sample_graph
-from .sim import SimReport, TrialConfig, run_plan_trials, run_sweep
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BipartiteGraph",
-    "DecodeFailure",
-    "DecodeOutcome",
-    "DegreeProfile",
-    "DesignResult",
-    "FieldContext",
-    "FormatError",
-    "Infeasible",
-    "OutOfRegime",
-    "ParityCheckMatrix",
-    "Plan",
-    "SignatureMatrix",
-    "SimReport",
-    "SupportVector",
-    "TestPlan",
-    "TestResults",
-    "TrialConfig",
-    "baseline_tests",
-    "build_parity_check",
-    "build_signature",
-    "de_poisson_trajectory",
-    "encode",
-    "lp_optimize_profile",
-    "make_field",
-    "make_plan",
-    "optimize_design",
-    "peel_decode",
-    "profile_from_lambda",
-    "proposed_tests",
-    "run_plan_trials",
-    "run_sweep",
-    "sample_graph",
-    "__version__",
-]

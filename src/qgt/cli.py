@@ -13,9 +13,7 @@ import math
 import secrets
 import sys
 
-import numpy as np
-
-from . import codec, design, sim
+from . import codec, design
 from .graphs import MAX_PROFILE_DEGREE, sample_graph
 
 TABLE_D_RANGE = {1: range(2, 19), 2: range(2, 18), 3: range(2, 18)}
@@ -134,6 +132,8 @@ def cmd_decode(args):
 
 
 def cmd_simulate(args):
+    from . import sim  # only this command runs trials; the others start without it
+
     _check_plan_args(args)
     _require(args.trials >= 1, f"--trials {args.trials} must be at least 1")
     _require(args.jobs >= 1, f"--jobs {args.jobs} must be at least 1")

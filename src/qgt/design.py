@@ -321,12 +321,17 @@ class Plan:
         }
 
 
+def pool_size(target: float, N: int, M: int, d: int) -> int:
+    """The pool size r nearest the edge-balance target, capped at floor(N*d/M)
+    so that left degrees of at most d can supply M*r edge stubs, and at N."""
+    return min(round(target), N * d // M, N)
+
+
 def make_plan(N: int, K: int, design: DesignResult, margin: float = 1.0) -> Plan:
     """Round the asymptotic design to integer sizes for (N, K).
 
     margin scales the pool count above the asymptotic minimum; the pool size
-    follows from edge balance and is capped at floor(N*d/M) so that the left
-    degrees, which never exceed d, can supply M*r edge stubs.
+    comes from pool_size, and is at least 3.
     """
     if not 1 <= K < N:
         raise ValueError(f"need 1 <= K < N, got K={K}, N={N}")
@@ -337,8 +342,7 @@ def make_plan(N: int, K: int, design: DesignResult, margin: float = 1.0) -> Plan
     pools_target = margin * c * K
     M = math.ceil(pools_target)
     pool_size_target = ell * N / (c * K * margin)
-    r = min(round(pool_size_target), N * design.d // M, N)
-    r = max(r, 3)
+    r = max(pool_size(pool_size_target, N, M, design.d), 3)
     if M * r > N * design.d or r > N:
         raise OutOfRegime(
             f"K={K} too close to N={N}: no feasible pool size (wanted r={r}, M={M})"

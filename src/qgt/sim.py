@@ -6,18 +6,18 @@ results do not depend on worker scheduling when --jobs splits the work.
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .codec import SupportVector, TestPlan, build_signature, encode, peel_decode, tests_per_pool
-from .design import DesignResult, Plan, make_plan, optimize_design
+from .design import DesignResult, Plan, make_plan, optimize_design, pool_size
 from .graphs import sample_graph
 
 log = logging.getLogger(__name__)
@@ -124,7 +124,9 @@ def run_plan_trials(
     run = partial(_run_chunk, N, K, t, profile, M, r, seed)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)  # the pool forks every worker up front
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # concurrent.futures loads its process module, and multiprocessing, on
+        # first access to this name, so a single-worker run never loads them
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, *zip(*chunks)))
     else:
         parts = [run(lo, hi) for lo, hi in chunks]
@@ -161,7 +163,7 @@ def _invert_budget(m: int, N: int, t: int, design: DesignResult) -> tuple[int, i
         M = m // s
         if M < 1:
             return None
-        r = min(round(ell * N / M), N * design.d // M, N)
+        r = pool_size(ell * N / M, N, M, design.d)
         if r < 3:
             return None
         s_new = tests_per_pool(t, r)
@@ -171,48 +173,28 @@ def _invert_budget(m: int, N: int, t: int, design: DesignResult) -> tuple[int, i
     return int(M), int(r)
 
 
-def run_sweep(config: TrialConfig, m_values, design: DesignResult | None = None) -> list[SimReport]:
+def _trials_at(config: TrialConfig, design: DesignResult, M: int, r: int) -> SimReport:
+    return run_plan_trials(
+        config.N, config.K, config.t, design.profile, M, r, config.trials, config.seed, jobs=config.jobs
+    )
+
+
+def run_sweep(config: TrialConfig, m_values) -> list[SimReport]:
     """One SimReport per realizable m; unrealizable entries are skipped with a
     warning."""
-    if design is None:
-        design = optimize_design(config.t, config.d)
+    design = optimize_design(config.t, config.d)
     reports = []
     for m in m_values:
         inverted = _invert_budget(int(m), config.N, config.t, design)
         if inverted is None:
             log.warning("budget m=%s not realizable at N=%s, t=%s; skipped", m, config.N, config.t)
             continue
-        M, r = inverted
-        reports.append(
-            run_plan_trials(
-                config.N,
-                config.K,
-                config.t,
-                design.profile,
-                M,
-                r,
-                config.trials,
-                config.seed,
-                jobs=config.jobs,
-            )
-        )
+        reports.append(_trials_at(config, design, *inverted))
     return reports
 
 
-def planner_report(config: TrialConfig, design: DesignResult | None = None) -> tuple[Plan, SimReport]:
+def planner_report(config: TrialConfig) -> tuple[Plan, SimReport]:
     """Run trials at the planner's operating point."""
-    if design is None:
-        design = optimize_design(config.t, config.d)
+    design = optimize_design(config.t, config.d)
     plan = make_plan(config.N, config.K, design, margin=config.margin)
-    report = run_plan_trials(
-        config.N,
-        config.K,
-        config.t,
-        design.profile,
-        plan.M,
-        plan.r,
-        config.trials,
-        config.seed,
-        jobs=config.jobs,
-    )
-    return plan, report
+    return plan, _trials_at(config, design, plan.M, plan.r)

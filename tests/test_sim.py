@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import logging
 import math
@@ -81,7 +82,7 @@ def test_worker_pool_bounded_by_chunks_and_cpus(monkeypatch, jobs, trials, cpus,
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
     profile = optimize_design(1, 3).profile
     got = run_plan_trials(2000, 20, 1, profile, 40, 150, trials, seed=11, jobs=jobs)
@@ -106,7 +107,7 @@ def test_report_bookkeeping():
 def test_sweep_skips_unrealizable_budgets(caplog):
     cfg = TrialConfig(N=100, K=20, t=1, d=3, trials=30, seed=3)
     with caplog.at_level(logging.WARNING, logger="qgt.sim"):
-        reports = run_sweep(cfg, [2, 8, 9], optimize_design(1, 3))
+        reports = run_sweep(cfg, [2, 8, 9])
     assert len(reports) == 1
     assert sum("not realizable" in r.message for r in caplog.records) == 2
 
@@ -114,7 +115,7 @@ def test_sweep_skips_unrealizable_budgets(caplog):
 def test_single_pool_cannot_resolve_many():
     # m just large enough for one pool covering every item; K defectives > t
     cfg = TrialConfig(N=100, K=20, t=1, d=3, trials=30, seed=3)
-    (rep,) = run_sweep(cfg, [9], optimize_design(1, 3))
+    (rep,) = run_sweep(cfg, [9])
     assert rep.M == 1
     assert rep.r == 100
     assert rep.error_prob > 0.9
