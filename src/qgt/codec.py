@@ -246,22 +246,24 @@ class DecodeOutcome:
         }
 
 
-def _incident_slots(g: BipartiteGraph, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR slots of the given items, item by item, and their degrees."""
+def _incidences(g: BipartiteGraph, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pools and positions of the given items' incidences, item by item."""
     lo = g.left_ptr[items]
     deg = g.left_ptr[items + 1] - lo
-    return np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum()), deg
+    csr = np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
+    return np.divmod(g.left_slot[csr], g.r)
 
 
 def encode(plan: TestPlan, support: SupportVector) -> TestResults:
-    """Measurement blocks: per pool, the sum of its defective members' columns."""
+    """Measurement blocks: per pool, the sum of its defective members' columns,
+    each item's pools and positions split from its flat indices in left_slot."""
     if support.N != plan.N:
         raise ValueError("support universe does not match plan")
     g, sig = plan.graph, plan.signature
     Y = np.zeros((g.M, sig.s), dtype=np.int64)
     if support.items.size:
-        slots, _ = _incident_slots(g, support.items)
-        np.add.at(Y, g.left_node[slots], sig.matrix.T[g.left_pos[slots]])
+        pools, positions = _incidences(g, support.items)
+        np.add.at(Y, pools, sig.matrix.T[positions])
     return TestResults(M=g.M, s=sig.s, values=Y.ravel())
 
 
@@ -291,6 +293,10 @@ def peel_decode(
     residual is that minus the columns of the items found earlier in the
     pass, the only ones that changed it; a sum of at most t <= 4 column
     codes never carries, so the residual certificate is one int comparison.
+    The next pass retries the requeued pools and every pool reached by an
+    item found in the pass (read from its flat indices in left_slot), except
+    the pools resolved before the pass or resolved in it before any such
+    item reached them.
     """
     g, sig = plan.graph, plan.signature
     M, s, t, q = g.M, sig.s, plan.t, sig.q
@@ -303,7 +309,7 @@ def peel_decode(
     col_parity, col_code = sig.packed_columns
     shifts = range(0, t * q, q)
     low = (1 << q) - 1
-    adj, ptr, node, pos = g.right_adj, g.left_ptr, g.left_node, g.left_pos
+    adj, ptr, slot, r = g.right_adj, g.left_ptr, g.left_slot, g.r
 
     found = bytearray(g.N)
     identified: list[int] = []
@@ -326,10 +332,9 @@ def peel_decode(
         earlier = defaultdict(list)  # pool -> positions of items found earlier in the pass
         requeued: list[int] = []
         done: list[int] = []
-        done_turns: list[int] = []
-        finder_turns: list[int] = []  # per item found in the pass
+        unreached: list[int] = []  # resolved before any item of the pass reached them
         items_found: list[int] = []
-        for turn, (n, v, parity, code) in enumerate(zip(eligible.tolist(), counts, parities, codes)):
+        for n, v, parity, code in zip(eligible.tolist(), counts, parities, codes):
             for p in earlier.get(n, ()):
                 v -= 1
                 parity ^= col_parity[p]
@@ -357,31 +362,28 @@ def peel_decode(
                     continue
                 for x in items:
                     found[x] = 1
-                    for slot in range(ptr.item(x), ptr.item(x + 1)):
-                        n2 = node.item(slot)
+                    for i in range(ptr.item(x), ptr.item(x + 1)):
+                        n2, p = divmod(slot.item(i), r)
                         if n2 != n:
-                            earlier[n2].append(pos.item(slot))
+                            earlier[n2].append(p)
                 items_found += items
-                finder_turns += [turn] * len(items)
             done.append(n)
-            done_turns.append(turn)
+            if n not in earlier:
+                unreached.append(n)
         identified += items_found
         per_iter.append(len(items_found))
 
-        # the turn each pool was resolved at: -1 before the pass, past the
-        # last turn if not at all
-        resolved_turn = np.where(resolved, -1, len(counts))
-        resolved_turn[done] = done_turns
-        resolved[done] = True
+        # retry the requeued pools and the pools this pass's items reached,
+        # except those resolved before the pass or before an item reached them
         next_active = np.zeros(M, dtype=bool)
+        next_active[list(earlier)] = True
+        next_active &= ~resolved
         next_active[requeued] = True
+        next_active[unreached] = False
+        resolved[done] = True
         if items_found:
-            slots, deg = _incident_slots(g, np.array(items_found, dtype=np.int64))
-            nodes = node[slots]
-            np.subtract.at(Y, nodes, sig.matrix.T[pos[slots]])
-            # a pool of item x is retried unless it was resolved by the time
-            # x was found, which includes x's own finder
-            next_active[nodes[resolved_turn[nodes] > np.repeat(finder_turns, deg)]] = True
+            pools, positions = _incidences(g, np.array(items_found, dtype=np.int64))
+            np.subtract.at(Y, pools, sig.matrix.T[positions])
         if iteration_hook is not None:
             iteration_hook(iterations, Y, identified)
         if not done:

@@ -58,8 +58,9 @@ class BipartiteGraph:
     """Adjacency of N items and M pools with constant right degree r.
 
     right_adj has shape (M, r) with ascending, distinct entries per row.
-    The left incidence is kept in CSR form: for item v, the incident
-    (pool, position) pairs sit at slots left_ptr[v]..left_ptr[v+1].
+    The left incidence is kept once, in CSR form: for item v,
+    left_slot[left_ptr[v]:left_ptr[v+1]] holds, ascending, the flat indices
+    n*r + p of its entries in right_adj, so v sits in pool n at position p.
     """
 
     def __init__(self, N: int, M: int, r: int, right_adj: np.ndarray):
@@ -84,10 +85,9 @@ class BipartiteGraph:
         keys = flat * n
         keys += np.arange(n, dtype=np.int64)
         keys.sort()
-        np.remainder(keys, n, out=keys)
+        self.left_slot = np.remainder(keys, n, out=keys)
         self.left_ptr = np.zeros(N + 1, dtype=np.int64)
         np.cumsum(np.bincount(flat, minlength=N), out=self.left_ptr[1:])
-        self.left_node, self.left_pos = np.divmod(keys, r)
 
 
 def _repair_degrees(degs: np.ndarray, target: int, d: int, rng) -> np.ndarray:

@@ -16,8 +16,10 @@ from functools import partial
 
 import numpy as np
 
+from .bch import field_degree
 from .codec import SupportVector, TestPlan, build_signature, encode, peel_decode, tests_per_pool
 from .design import DesignResult, Plan, make_plan, optimize_design, pool_size
+from .gf2m import MAX_DEGREE
 from .graphs import sample_graph
 
 log = logging.getLogger(__name__)
@@ -155,7 +157,8 @@ def run_plan_trials(
 
 def _invert_budget(m: int, N: int, t: int, design: DesignResult) -> tuple[int, int] | None:
     """Find (M, r) realizing about m tests, via the fixed point of
-    M = floor(m / s), r = edge balance, s = t * ceil(log2(r + 1)) + 1."""
+    M = floor(m / s), r = edge balance, s = t * ceil(log2(r + 1)) + 1;
+    None if M < 1, r < 3, or r needs a field above GF(2^MAX_DEGREE)."""
     ell = design.profile.avg_degree
     s = tests_per_pool(t, 2**8 - 1)  # neutral start, q = 8; the fixed point below self-corrects
     M = r = None
@@ -170,6 +173,8 @@ def _invert_budget(m: int, N: int, t: int, design: DesignResult) -> tuple[int, i
         if s_new == s:
             break
         s = s_new
+    if field_degree(r) > MAX_DEGREE:
+        return None
     return int(M), int(r)
 
 

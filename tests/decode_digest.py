@@ -13,10 +13,15 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
 - the `DecodeOutcome.to_dict` of each run's first trial,
 - each run's report, with its wall time zeroed,
 - every `codec.syndrome_decode` call, as its weight and its t syndrome
-  blocks in order.
+  blocks in order,
+- every sampled graph, as its sizes, `right_adj`, `left_ptr` and its left
+  incidence: the (pool, position) pairs item by item, each item's in
+  ascending order.
 
 A tree whose decoder still takes the t*q syndrome bits has them packed into
-blocks here, so trees on either side of that change give the same digests.
+blocks here, and a tree whose graph keeps the incidence as `left_node` and
+`left_pos` has them read from there instead of from the flat indices
+`left_slot`, so trees on either side of either change give the same digests.
 pytest does not collect this file.
 """
 
@@ -45,9 +50,17 @@ def _blocks(pcm, syndrome) -> list[int]:
     return (bits.reshape(pcm.t, pcm.q) @ (1 << np.arange(pcm.q, dtype=np.int64))).tolist()
 
 
+def _incidence(graph):
+    if hasattr(graph, "left_node"):
+        return graph.left_node, graph.left_pos
+    return np.divmod(graph.left_slot, graph.r)
+
+
 def main():
     calls, outcomes = [], []
-    real_decode, real_peel = codec.syndrome_decode, sim.peel_decode
+    graphs = hashlib.sha256()
+    graph_count = 0
+    real_decode, real_peel, real_sample = codec.syndrome_decode, sim.peel_decode, sim.sample_graph
 
     def spy_decode(pcm, syndrome, w):
         calls.append((w, _blocks(pcm, syndrome)))
@@ -58,7 +71,15 @@ def main():
         outcomes.append(out.to_dict())
         return out
 
-    codec.syndrome_decode, sim.peel_decode = spy_decode, spy_peel
+    def spy_sample(*args):
+        nonlocal graph_count
+        g = real_sample(*args)
+        graph_count += 1
+        for a in [(g.N, g.M, g.r), g.right_adj, g.left_ptr, *_incidence(g)]:
+            graphs.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+        return g
+
+    codec.syndrome_decode, sim.peel_decode, sim.sample_graph = spy_decode, spy_peel, spy_sample
     first, reports = [], []
     for N, K, points, trials, seeds in (DESK, DENSE):
         for t, d, margin in points:
@@ -73,6 +94,7 @@ def main():
     for name, data in [("first-trial outcomes", first), ("reports", reports), ("syndrome_decode calls", calls)]:
         digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
         print(f"{name} ({len(data)}): {digest}")
+    print(f"sampled graphs ({graph_count}): {graphs.hexdigest()}")
 
 
 if __name__ == "__main__":

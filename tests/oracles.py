@@ -269,7 +269,9 @@ def peel_decode_stepwise(
     """codec.peel_decode with each found item subtracted from its pools at
     once, row by row, and each pool's residual read from the measurement
     blocks at its turn and packed by pack_blocks for codec.syndrome_decode;
-    same contract, and the same decoder calls in the same order.
+    same contract, and the same decoder calls in the same order.  A found
+    item's pools and positions are searched for in right_adj, not read from
+    the graph's left incidence.
     """
     g, sig = plan.graph, plan.signature
     M, s, t = g.M, sig.s, plan.t
@@ -323,8 +325,8 @@ def peel_decode_stepwise(
             for item in items.tolist():
                 is_defective_found[item] = True
                 identified.append(item)
-                lo, hi = g.left_ptr[item], g.left_ptr[item + 1]
-                for node2, pos2 in zip(g.left_node[lo:hi].tolist(), g.left_pos[lo:hi].tolist()):
+                rows, cols = np.nonzero(g.right_adj == item)
+                for node2, pos2 in zip(rows.tolist(), cols.tolist()):
                     Y[node2] -= U[:, pos2]
                     if node2 != n and not resolved[node2]:
                         next_active.add(node2)

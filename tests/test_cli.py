@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -286,6 +287,19 @@ def test_simulate_sweep_rows(tmp_path):
     assert rc == 0
     lines = open(out).read().strip().split("\n")
     assert len(lines) == 3
+
+
+def test_simulate_skips_a_budget_beyond_the_largest_field(tmp_path, caplog):
+    # m=500 at N=2^30 asks for pools of about 2^27 items, which need GF(2^28)
+    out = str(tmp_path / "sweep.csv")
+    with caplog.at_level(logging.WARNING, logger="qgt.sim"):
+        rc = cli.main(["simulate", "--t", "1", "--d", "3", "--N", "1073741824", "--K", "100",
+                       "--m", "500", "--trials", "1", "--seed", "1", "--out", out])
+    assert rc == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "budget m=500 not realizable at N=1073741824, t=1; skipped"
+    ]
+    assert open(out).read() == "m,error_prob,ci_lo,ci_hi,full_recovery,trials\n"
 
 
 def test_console_invocation():

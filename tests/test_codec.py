@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import peel_decode_stepwise
 from qgt import codec
 from qgt.codec import (
     DecodeOutcome,
@@ -217,10 +218,45 @@ def test_item_that_overdraws_a_resolved_pool_is_not_a_recovery():
     plan = example_plan()
     blocks = np.zeros((3, 4), dtype=np.int64)
     blocks[2] = plan.signature.matrix[:, 3]
-    out = peel_decode(plan, TestResults(M=3, s=4, values=blocks.ravel()))
+    results = TestResults(M=3, s=4, values=blocks.ravel())
+    out = peel_decode(plan, results)
     assert out.identified.tolist() == [7]
     assert out.failed_nodes == 1 and out.resolved_nodes == 2
     assert not np.array_equal(encode(plan, SupportVector(14, out.identified)).blocks, blocks)
+    # item 7 reaches pool 1 only after its turn, so no pool is retried
+    assert out.iterations == 1 and out.identified_per_iteration == [1]
+    assert out.to_dict() == peel_decode_stepwise(plan, results).to_dict()
+
+
+def test_pool_reached_before_its_turn_is_retried():
+    # item 1 sits in pool 0 at position 1 and in pool 1 at position 0.  Pool
+    # 0 finds it; pool 1, whose residual it then empties, resolves at its
+    # turn in the same pass, but was reached before it, so a second pass
+    # retries it and finds it resolved.
+    plan = TestPlan(BipartiteGraph(6, 2, 5, [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]), build_signature(1, 5))
+    results = encode(plan, SupportVector(6, np.array([1])))
+    out = peel_decode(plan, results)
+    assert out.identified.tolist() == [1] and out.resolved_nodes == 2
+    assert out.iterations == 2 and out.identified_per_iteration == [1, 0]
+    assert out.to_dict() == peel_decode_stepwise(plan, results).to_dict()
+
+
+def test_pool_resolved_before_the_pass_is_not_retried():
+    # pass 1 resolves pool 0 (zero) and pool 2 (item 7's column), which
+    # leaves item 12's column in pool 1; pass 2 finds item 12, which also
+    # sits in pools 0 and 2.  Both were resolved before that pass, so no
+    # third pass runs.  No support gives these measurements.
+    plan = example_plan()
+    U = plan.signature.matrix
+    blocks = np.zeros((3, 4), dtype=np.int64)
+    blocks[1] = U[:, 3] + U[:, 6]
+    blocks[2] = U[:, 3]
+    results = TestResults(M=3, s=4, values=blocks.ravel())
+    out = peel_decode(plan, results)
+    assert out.identified.tolist() == [7, 12]
+    assert out.iterations == 2 and out.identified_per_iteration == [1, 1]
+    assert out.resolved_nodes == 1 and out.failed_nodes == 2
+    assert out.to_dict() == peel_decode_stepwise(plan, results).to_dict()
 
 
 def test_max_iterations_cap():

@@ -53,7 +53,7 @@ def test_bipartite_graph_incidence_structure():
 
     def incidences(v):
         lo, hi = g.left_ptr[v], g.left_ptr[v + 1]
-        return sorted(zip(g.left_node[lo:hi].tolist(), g.left_pos[lo:hi].tolist()))
+        return sorted(divmod(slot, g.r) for slot in g.left_slot[lo:hi].tolist())
 
     # item 7 sits in pool 1 position 3 and pool 2 position 3
     assert incidences(7) == [(1, 3), (2, 3)]
@@ -63,13 +63,12 @@ def test_bipartite_graph_incidence_structure():
     assert int(hist @ np.arange(hist.size)) == 21
 
 
-def _stable_argsort_csr(N, r, right_adj):
+def _stable_argsort_csr(N, right_adj):
     flat = right_adj.ravel()
-    order = np.argsort(flat, kind="stable")
     ptr = np.zeros(N + 1, dtype=np.int64)
     np.add.at(ptr, flat + 1, 1)
     np.cumsum(ptr, out=ptr)
-    return ptr, order // r, order % r
+    return ptr, np.argsort(flat, kind="stable")
 
 
 def test_left_csr_matches_stable_argsort():
@@ -77,8 +76,8 @@ def test_left_csr_matches_stable_argsort():
     graphs = [BipartiteGraph(14, 3, 7, EXAMPLE_ADJ), BipartiteGraph(6, 0, 3, np.zeros((0, 3)))]
     graphs += [sample_graph(N, M, r, p, seed=N + M) for N, M, r in [(50, 20, 7), (300, 40, 21), (2000, 90, 60)]]
     for g in graphs:
-        ptr, node, pos = _stable_argsort_csr(g.N, g.r, g.right_adj)
-        for got, want in [(g.left_ptr, ptr), (g.left_node, node), (g.left_pos, pos)]:
+        ptr, slot = _stable_argsort_csr(g.N, g.right_adj)
+        for got, want in [(g.left_ptr, ptr), (g.left_slot, slot)]:
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
 
