@@ -8,19 +8,15 @@ m x N measurement matrix is never materialized.
 
 Decoding peels: any pool whose residual count is at most t is resolved by BCH
 syndrome decoding, once the located columns account for its whole residual
-block; the identified items' signature columns are subtracted from their
-other pools, and the process repeats until nothing changes.  Pool
+block; the identified items' signature columns are subtracted from all their
+pools at once, and the process repeats until nothing changes.  Pool
 eligibility within a pass is fixed by the counts at the start of the pass, so
 the pass index matches the round-by-round schedule that density evolution
-tracks.  A pass's subtractions are applied together at its end: within a
-pass only the items found earlier in it change a pool's block, so each pool
-is read at its turn as its start-of-pass block minus those items' columns,
-which is exactly the residual that subtracting each item at once would give.
+tracks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,24 +59,28 @@ class SignatureMatrix:
     parity: ParityCheckMatrix = field(repr=False)
 
     @cached_property
-    def packed_columns(self) -> tuple[list[int], list[int]]:
+    def packed_columns(self) -> tuple[list[int], list[int], int]:
         """Per column, its parity rows as one int with row i at bit i (the t
         syndrome blocks of q bits each, end to end), and their exact code
-        with row i at bits 3i..3i+2."""
+        with row i in the field of W bits from bit W*i; and the field width
+        W = (r + t + 1).bit_length(), which holds every residual entry the
+        peeler compares (see peel_decode)."""
         cols = self.matrix[1:].T
-        return _pack_rows(cols, 1), _pack_rows(cols, 3)
+        width = (self.r + self.t + 1).bit_length()
+        return _pack_rows(cols, 1), _pack_rows(cols, width), width
 
 
 def _pack_rows(A: np.ndarray, width: int) -> list[int]:
-    """Each row of A as one int with entry j at bits j*width..(j+1)*width-1;
-    the entries must lie in [0, 2^width).  The rows are packed in int64
-    words of 63 // width entries, joined as Python ints past the first."""
+    """Each row of A as one int, the sum of entry j times 2^(j*width); the
+    entries must lie in (-2^width, 2^width), so that the sum is 0 only when
+    every entry is.  The rows are packed in int64 words of 63 // width
+    entries, added as Python ints past the first."""
     per = 63 // width
     out = None
     for lo in range(0, A.shape[1], per):
         part = A[:, lo : lo + per]
         word = (part @ (1 << width * np.arange(part.shape[1], dtype=np.int64))).tolist()
-        out = word if out is None else [a | b << (lo * width) for a, b in zip(out, word)]
+        out = word if out is None else [a + (b << lo * width) for a, b in zip(out, word)]
     return out
 
 
@@ -246,14 +246,6 @@ class DecodeOutcome:
         }
 
 
-def _incidences(g: BipartiteGraph, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pools and positions of the given items' incidences, item by item."""
-    lo = g.left_ptr[items]
-    deg = g.left_ptr[items + 1] - lo
-    csr = np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
-    return np.divmod(g.left_slot[csr], g.r)
-
-
 def encode(plan: TestPlan, support: SupportVector) -> TestResults:
     """Measurement blocks: per pool, the sum of its defective members' columns,
     each item's pools and positions split from its flat indices in left_slot."""
@@ -262,41 +254,39 @@ def encode(plan: TestPlan, support: SupportVector) -> TestResults:
     g, sig = plan.graph, plan.signature
     Y = np.zeros((g.M, sig.s), dtype=np.int64)
     if support.items.size:
-        pools, positions = _incidences(g, support.items)
+        lo = g.left_ptr[support.items]
+        deg = g.left_ptr[support.items + 1] - lo
+        csr = np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
+        pools, positions = np.divmod(g.left_slot[csr], g.r)
         np.add.at(Y, pools, sig.matrix.T[positions])
     return TestResults(M=g.M, s=sig.s, values=Y.ravel())
 
 
-def peel_decode(
-    plan: TestPlan,
-    results: TestResults,
-    max_iterations: int | None = None,
-    iteration_hook=None,
-) -> DecodeOutcome:
+def peel_decode(plan: TestPlan, results: TestResults, max_iterations: int | None = None) -> DecodeOutcome:
     """Iterative peeling recovery.
 
     Each pass resolves the pools whose residual count was <= t when the pass
     started, in pool order: the residual parity rows are syndrome-decoded and
-    the located items subtracted from all their pools.  A pool is resolved
-    only when that leaves its whole residual block at zero, and counts as
-    resolved at the end only if its block is still zero then, so
+    the located items subtracted from all their pools at once.  A pool is
+    resolved only when that leaves its whole residual block at zero, and
+    counts as resolved at the end only if its block is still zero then, so
     measurements no support can produce are never reported as recovered.  A
     DecodeFailure or such a mismatch leaves the pool unresolved for a later
-    retry.  The decoder stops when a pass makes no progress or after
-    max_iterations passes (default M + 1, which never truncates a productive
-    run).
+    retry.  The next pass takes the requeued pools and every pool a found
+    item reached while it was still unresolved.  The decoder stops when a
+    pass makes no progress or after max_iterations passes (default M + 1,
+    which never truncates a productive run).
 
-    A pass's subtractions are applied together at its end, before
-    iteration_hook sees the blocks.  The pass's pools are read once as it
-    starts, as Python ints: the count, the parity bits, and a code of 3 bits
-    per parity entry (-1 if one lies outside 0..7).  At its turn a pool's
-    residual is that minus the columns of the items found earlier in the
-    pass, the only ones that changed it; a sum of at most t <= 4 column
-    codes never carries, so the residual certificate is one int comparison.
-    The next pass retries the requeued pools and every pool reached by an
-    item found in the pass (read from its flat indices in left_slot), except
-    the pools resolved before the pass or resolved in it before any such
-    item reached them.
+    Each pool's state is read once, into three lists of Python ints updated
+    in place: its count, its parity bits end to end, and an exact code of
+    its parity entries in fields of W bits (SignatureMatrix.packed_columns),
+    each entry clamped to [-1, 2^W - 1] first.  At most r distinct items are
+    subtracted from a pool, each lowering an entry by at most 1, so an entry
+    clamped down from above r + t stays above t, and one clamped up from
+    below 0 stays below 0: neither can equal a sum of at most t columns, or
+    0.  Every residual entry minus such a sum lies in (-2^W, 2^W) since
+    r + t + 1 < 2^W, so the residual certificate, that the located columns
+    account for the whole residual block, is one comparison of ints.
     """
     g, sig = plan.graph, plan.signature
     M, s, t, q = g.M, sig.s, plan.t, sig.q
@@ -304,101 +294,80 @@ def peel_decode(
         raise ValueError("results shape does not match plan")
     if max_iterations is None:
         max_iterations = M + 1
-    Y = results.blocks.astype(np.int64, copy=True)
     pcm = sig.parity
-    col_parity, col_code = sig.packed_columns
+    col_parity, col_code, width = sig.packed_columns
     shifts = range(0, t * q, q)
     low = (1 << q) - 1
     adj, ptr, slot, r = g.right_adj, g.left_ptr, g.left_slot, g.r
+    blocks = results.blocks.astype(np.int64, copy=False)
+    entries = blocks[:, 1:]
+    count = blocks[:, 0].tolist()
+    parity = _pack_rows(entries & 1, 1)
+    code = _pack_rows(np.clip(entries, -1, (1 << width) - 1), width)
 
     found = bytearray(g.N)
     identified: list[int] = []
-    resolved = np.zeros(M, dtype=bool)
-    active = np.arange(M, dtype=np.int64)
+    resolved = bytearray(M)
+    active = range(M)
     iterations = 0
     per_iter: list[int] = []
 
-    while active.size and iterations < max_iterations:
-        eligible = active[(Y[active, 0] <= t) & ~resolved[active]]
+    while active and iterations < max_iterations:
+        eligible = [n for n in active if count[n] <= t and not resolved[n]]
         iterations += 1
-        blocks = Y[eligible]
-        counts = blocks[:, 0].tolist()
-        parities = _pack_rows(blocks[:, 1:] & 1, 1)
-        # a pool with an entry outside 0..7 gets code -1, which no sum of
-        # column codes equals
-        codes = _pack_rows(blocks[:, 1:], 3)
-        for i in np.flatnonzero((blocks[:, 1:] & ~7).any(axis=1)).tolist():
-            codes[i] = -1
-        earlier = defaultdict(list)  # pool -> positions of items found earlier in the pass
-        requeued: list[int] = []
-        done: list[int] = []
-        unreached: list[int] = []  # resolved before any item of the pass reached them
-        items_found: list[int] = []
-        for n, v, parity, code in zip(eligible.tolist(), counts, parities, codes):
-            for p in earlier.get(n, ()):
-                v -= 1
-                parity ^= col_parity[p]
-                code -= col_code[p]
+        retry: set[int] = set()
+        newly = 0
+        progress = False
+        for n in eligible:
+            v = count[n]
             if v < 0:
                 # only possible on inconsistent input; the pool can never
                 # become valid again, so leave it for the failure accounting
                 continue
             if v == 0:
-                if code:
+                if code[n]:
                     # parity residue with no defective left: no support fits
-                    requeued.append(n)
+                    retry.add(n)
                     continue
             else:
                 try:
-                    positions = syndrome_decode(pcm, [parity >> k & low for k in shifts], v)
+                    positions = syndrome_decode(pcm, [parity[n] >> k & low for k in shifts], v)
                 except DecodeFailure:
-                    requeued.append(n)
+                    retry.add(n)
                     continue
                 items = [adj.item(n, p) for p in positions]
                 # the syndrome matches mod 2 only: the located columns must also sum
                 # to the residual exactly, and none of them may be peeled already
-                if any(found[x] for x in items) or code != sum(col_code[p] for p in positions):
-                    requeued.append(n)
+                if any(found[x] for x in items) or code[n] != sum(col_code[p] for p in positions):
+                    retry.add(n)
                     continue
                 for x in items:
                     found[x] = 1
                     for i in range(ptr.item(x), ptr.item(x + 1)):
                         n2, p = divmod(slot.item(i), r)
-                        if n2 != n:
-                            earlier[n2].append(p)
-                items_found += items
-            done.append(n)
-            if n not in earlier:
-                unreached.append(n)
-        identified += items_found
-        per_iter.append(len(items_found))
-
-        # retry the requeued pools and the pools this pass's items reached,
-        # except those resolved before the pass or before an item reached them
-        next_active = np.zeros(M, dtype=bool)
-        next_active[list(earlier)] = True
-        next_active &= ~resolved
-        next_active[requeued] = True
-        next_active[unreached] = False
-        resolved[done] = True
-        if items_found:
-            pools, positions = _incidences(g, np.array(items_found, dtype=np.int64))
-            np.subtract.at(Y, pools, sig.matrix.T[positions])
-        if iteration_hook is not None:
-            iteration_hook(iterations, Y, identified)
-        if not done:
+                        count[n2] -= 1
+                        parity[n2] ^= col_parity[p]
+                        code[n2] -= col_code[p]
+                        if n2 != n and not resolved[n2]:
+                            retry.add(n2)
+                identified += items
+                newly += len(items)
+            resolved[n] = 1
+            progress = True
+        per_iter.append(newly)
+        if not progress:
             break
-        active = np.flatnonzero(next_active)
+        active = sorted(retry)
 
     # an item located in one pool may also sit in a pool resolved earlier
     # and drive that pool's residual below zero
-    resolved &= ~Y.any(axis=1)
-    open_counts = Y[~resolved, 0]
+    ok = [done and not v and not c for done, v, c in zip(resolved, count, code)]
+    open_counts = [v for v, o in zip(count, ok) if not o]
     return DecodeOutcome(
         identified=np.asarray(sorted(identified), dtype=np.int64),
         iterations=iterations,
-        resolved_nodes=int(resolved.sum()),
-        stalled=bool((open_counts > t).any()),
-        failed_nodes=int((open_counts <= t).sum()),
+        resolved_nodes=sum(ok),
+        stalled=any(v > t for v in open_counts),
+        failed_nodes=sum(v <= t for v in open_counts),
         identified_per_iteration=per_iter,
     )

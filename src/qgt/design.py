@@ -67,42 +67,6 @@ def _pois_upper(t: int, x):
     return np.clip(out, 0.0, 1.0)
 
 
-def de_step_poisson(phi: float, load: float, t: int, profile: DegreeProfile) -> float:
-    """Large-pool limit of the recursion on phi = p / gamma at normalized load."""
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError(f"phi={phi} outside [0, 1]")
-    unresolved = float(_pois_upper(t, load * phi))
-    acc = 0.0
-    for i, lam_i in enumerate(profile.lam, start=1):
-        if lam_i:
-            acc += lam_i * unresolved ** (i - 1)
-    return acc
-
-
-def de_poisson_trajectory(profile: DegreeProfile, load: float, t: int, rounds: int):
-    """Iterate the recursion from phi_0 = 1.
-
-    Returns (phis, unidentified) where phis[j] is the edge-message value after
-    round j and unidentified[j] the matching node-perspective probability that
-    a defective item is still unidentified after round j, i.e. the chance that
-    none of its pools has been resolved.  The latter is what a decoder run
-    actually exhibits.
-    """
-    phis = [1.0]
-    unid = [1.0]
-    phi = 1.0
-    for _ in range(rounds):
-        q = float(_pois_upper(t, load * phi))  # P(a given pool stays unresolved)
-        node = 0.0
-        for i, L_i in enumerate(profile.node_probs, start=1):
-            if L_i:
-                node += L_i * q**i
-        phi = de_step_poisson(phi, load, t, profile)
-        phis.append(phi)
-        unid.append(node)
-    return phis, unid
-
-
 def lp_optimize_profile(t: int, d: int, load: float) -> tuple[DegreeProfile, float]:
     """Best profile at a fixed load: min -load * sum_i lambda_i / i subject to
     one contraction constraint, with margin DE_MARGIN, per point of

@@ -16,7 +16,12 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
   blocks in order,
 - every sampled graph, as its sizes, `right_adj`, `left_ptr` and its left
   incidence: the (pool, position) pairs item by item, each item's in
-  ascending order.
+  ascending order;
+- the `DecodeOutcome.to_dict` and the syndrome decoder calls of decodes of
+  measurements no support produces, at the three desk points (seeds 1-3):
+  a support's measurements with each pool's first parity entry raised by
+  2*(count//2 + 1), as in the benchmark's decode-impossible check, and with
+  every entry of pool `seed` set to 2^62.
 
 A tree whose decoder still takes the t*q syndrome bits has them packed into
 blocks here, and a tree whose graph keeps the incidence as `left_node` and
@@ -37,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qgt import codec, design, sim  # noqa: E402
+from qgt import codec, design, graphs, sim  # noqa: E402
 
 DESK = (2**16, 100, [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)], 3, range(1, 7))
 DENSE = (2**20, 10**4, [(3, 2, 1.5)], 1, range(1, 5))
@@ -56,9 +61,29 @@ def _incidence(graph):
     return np.divmod(graph.left_slot, graph.r)
 
 
+def _inconsistent_decodes() -> list:
+    """Outcomes of decodes of tampered measurements at the desk points."""
+    N, K, points, _, _ = DESK
+    out = []
+    for t, d, margin in points:
+        res = design.optimize_design(t, d)
+        sizes = design.make_plan(N, K, res, margin=margin)
+        sig = codec.build_signature(t, sizes.r)
+        for seed in (1, 2, 3):
+            plan = codec.TestPlan(graphs.sample_graph(N, sizes.M, sizes.r, res.profile, seed), sig)
+            blocks = codec.encode(plan, sim.sample_support(N, K / N, seed)).blocks
+            raised, huge = blocks.copy(), blocks.copy()
+            raised[:, 1] += 2 * (raised[:, 0] // 2 + 1)
+            huge[seed] = 2**62
+            for tampered in (raised, huge):
+                results = codec.TestResults(M=plan.M, s=sig.s, values=tampered.ravel())
+                out.append(codec.peel_decode(plan, results).to_dict())
+    return out
+
+
 def main():
     calls, outcomes = [], []
-    graphs = hashlib.sha256()
+    graph_digest = hashlib.sha256()
     graph_count = 0
     real_decode, real_peel, real_sample = codec.syndrome_decode, sim.peel_decode, sim.sample_graph
 
@@ -76,7 +101,7 @@ def main():
         g = real_sample(*args)
         graph_count += 1
         for a in [(g.N, g.M, g.r), g.right_adj, g.left_ptr, *_incidence(g)]:
-            graphs.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+            graph_digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
         return g
 
     codec.syndrome_decode, sim.peel_decode, sim.sample_graph = spy_decode, spy_peel, spy_sample
@@ -94,7 +119,12 @@ def main():
     for name, data in [("first-trial outcomes", first), ("reports", reports), ("syndrome_decode calls", calls)]:
         digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
         print(f"{name} ({len(data)}): {digest}")
-    print(f"sampled graphs ({graph_count}): {graphs.hexdigest()}")
+    print(f"sampled graphs ({graph_count}): {graph_digest.hexdigest()}")
+
+    calls.clear()
+    inconsistent = {"outcomes": _inconsistent_decodes(), "calls": calls}
+    digest = hashlib.sha256(json.dumps(inconsistent, sort_keys=True).encode()).hexdigest()
+    print(f"inconsistent decodes ({len(inconsistent['outcomes'])}, {len(calls)} calls): {digest}")
 
 
 if __name__ == "__main__":

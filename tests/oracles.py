@@ -1,13 +1,14 @@
 """Reference computations that tests compare the library against.
 
-None of these run in the CLI or the simulator: the finite-pool-size
-recursion checks its large-pool limit `design.de_step_poisson`, the full
-load scan checks the search in `design.optimize_design`, the slot-by-slot
-dict walk checks the multi-edge swap passes of `graphs._try_assemble`, and
-the bitwise syndrome, the decoding table built by enumerating every in-range
-position set and the all-elimination PGZ decoder, with its own root sweep,
-check the BCH decoder, and the peeling loop that subtracts each found item
-at once checks the pass-level peeler `codec.peel_decode`.
+None of these run in the CLI or the simulator: the large-pool limit of the
+peeling recursion, which tests check against the finite-pool-size recursion
+and against decoder runs; the full load scan, which checks the search in
+`design.optimize_design`; the slot-by-slot dict walk, which checks the
+multi-edge swap passes of `graphs._try_assemble`; the bitwise syndrome, the
+decoding table built by enumerating every in-range position set and the
+all-elimination PGZ decoder, with its own root sweep, which check the BCH
+decoder; and the peeling loop on numpy measurement blocks, which checks
+`codec.peel_decode`.
 """
 
 from __future__ import annotations
@@ -71,6 +72,42 @@ def de_step_exact(p: float, params: DEParams, profile: DegreeProfile) -> float:
         if lam_i:
             acc += lam_i * unresolved ** (i - 1)
     return params.gamma * acc
+
+
+def de_step_poisson(phi: float, load: float, t: int, profile: DegreeProfile) -> float:
+    """Large-pool limit of the recursion on phi = p / gamma at normalized load."""
+    if not 0.0 <= phi <= 1.0:
+        raise ValueError(f"phi={phi} outside [0, 1]")
+    unresolved = float(design._pois_upper(t, load * phi))
+    acc = 0.0
+    for i, lam_i in enumerate(profile.lam, start=1):
+        if lam_i:
+            acc += lam_i * unresolved ** (i - 1)
+    return acc
+
+
+def de_poisson_trajectory(profile: DegreeProfile, load: float, t: int, rounds: int):
+    """Iterate the recursion from phi_0 = 1.
+
+    Returns (phis, unidentified) where phis[j] is the edge-message value after
+    round j and unidentified[j] the matching node-perspective probability that
+    a defective item is still unidentified after round j, i.e. the chance that
+    none of its pools has been resolved.  The latter is what a decoder run
+    actually exhibits.
+    """
+    phis = [1.0]
+    unid = [1.0]
+    phi = 1.0
+    for _ in range(rounds):
+        q = float(design._pois_upper(t, load * phi))  # P(a given pool stays unresolved)
+        node = 0.0
+        for i, L_i in enumerate(profile.node_probs, start=1):
+            if L_i:
+                node += L_i * q**i
+        phi = de_step_poisson(phi, load, t, profile)
+        phis.append(phi)
+        unid.append(node)
+    return phis, unid
 
 
 def scan_design(t: int, d: int) -> design.DesignResult:
@@ -266,12 +303,14 @@ def peel_decode_stepwise(
     max_iterations: int | None = None,
     iteration_hook=None,
 ) -> codec.DecodeOutcome:
-    """codec.peel_decode with each found item subtracted from its pools at
-    once, row by row, and each pool's residual read from the measurement
-    blocks at its turn and packed by pack_blocks for codec.syndrome_decode;
-    same contract, and the same decoder calls in the same order.  A found
-    item's pools and positions are searched for in right_adj, not read from
-    the graph's left incidence.
+    """codec.peel_decode on a numpy copy of the measurement blocks: each
+    found item's columns are subtracted from its pools row by row, and each
+    pool's residual is read from the blocks at its turn and packed by
+    pack_blocks for codec.syndrome_decode; same contract, and the same
+    decoder calls in the same order.  A found item's pools and positions are
+    searched for in right_adj, not read from the graph's left incidence.
+    iteration_hook(pass, blocks, identified), when given, sees the residual
+    blocks after each pass.
     """
     g, sig = plan.graph, plan.signature
     M, s, t = g.M, sig.s, plan.t

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import pack_blocks
+from oracles import de_poisson_trajectory, pack_blocks
 from qgt.bch import build_parity_check, syndrome_decode
 from qgt.codec import (
     SupportVector,
@@ -25,7 +25,6 @@ from qgt.codec import (
 from qgt.design import (
     Infeasible,
     baseline_tests,
-    de_poisson_trajectory,
     make_plan,
     optimize_design,
     proposed_tests,

@@ -74,15 +74,15 @@ def test_example_encode_blocks_match_up_to_row_convention():
 def test_example_decode_trace():
     plan = example_plan()
     results = encode(plan, SupportVector(14, np.array(EXAMPLE_DEFECTIVE)))
-    snapshots = []
-    out = peel_decode(plan, results, iteration_hook=lambda i, Y, ident: snapshots.append(list(ident)))
+    out = peel_decode(plan, results)
     assert out.identified.tolist() == EXAMPLE_DEFECTIVE
     assert out.iterations == 3
     assert out.identified_per_iteration == [1, 1, 1]
     assert not out.stalled and out.failed_nodes == 0
     assert out.resolved_nodes == 3
     # pools resolve one per pass, in pool order
-    assert snapshots == [[3], [3, 7], [3, 7, 10]]
+    passes = [peel_decode(plan, results, max_iterations=k).identified.tolist() for k in (1, 2, 3)]
+    assert passes == [[3], [3, 7], [3, 7, 10]]
 
 
 def test_encode_matches_materialized_matrix():
@@ -114,7 +114,10 @@ def test_encode_empty_support_and_mismatch():
 
 
 def test_decode_conservation_invariant():
-    # running residual + encoding of what was identified == original vector
+    # running residual + encoding of what was identified == original vector,
+    # checked after each pass of the stepwise oracle, which keeps the residual
+    # blocks; test_peeler_matches_the_stepwise_oracle ties the library's
+    # residuals to the oracle's by requiring equal syndrome decoder calls
     p = profile_from_lambda(3, [0.0, 0.2, 0.8])
     g = sample_graph(60, 18, 9, p, seed=13)
     plan = TestPlan(g, build_signature(2, 9))
@@ -125,8 +128,9 @@ def test_decode_conservation_invariant():
         partial = encode(plan, SupportVector(60, np.array(ident, dtype=np.int64)))
         assert np.array_equal(Y.ravel() + partial.values, original.values)
 
-    out = peel_decode(plan, original, iteration_hook=check)
+    out = peel_decode_stepwise(plan, original, iteration_hook=check)
     assert set(out.identified.tolist()) <= set(support.items.tolist())
+    assert out.to_dict() == peel_decode(plan, original).to_dict()
 
 
 def test_syndrome_decode_called_positionally_with_int_weight(monkeypatch):
@@ -175,14 +179,17 @@ def test_decode_failure_requeued_then_left_open_by_residual_check():
     values = results.values.copy()
     values[:4] = [1, 1, 0, 1]  # count 1 with the syndrome of alpha^6: out of range
     tampered = TestResults(M=2, s=4, values=values)
-    pool0 = []
-    out = peel_decode(plan, tampered, iteration_hook=lambda i, Y, ident: pool0.append(Y[0].tolist()))
-    assert pool0 == [[0, 0, 0, 1], [0, 0, 0, 1]]
+    out = peel_decode(plan, tampered)
     assert out.identified.tolist() == [0]
     assert out.iterations == 2
     assert out.resolved_nodes == 1
     assert out.failed_nodes == 1
     assert not out.stalled
+    # pool 0's residual after each pass, read through the stepwise oracle
+    pool0 = []
+    oracle = peel_decode_stepwise(plan, tampered, iteration_hook=lambda i, Y, ident: pool0.append(Y[0].tolist()))
+    assert pool0 == [[0, 0, 0, 1], [0, 0, 0, 1]]
+    assert out.to_dict() == oracle.to_dict()
 
 
 def test_unresolvable_failure_counted():

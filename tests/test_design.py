@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from scipy.special import gammainc
 from scipy.stats import binom, poisson
 
-from oracles import DEParams, binom_upper, de_step_exact, scan_design
+from oracles import DEParams, binom_upper, de_poisson_trajectory, de_step_exact, de_step_poisson, scan_design
 from qgt import design
 from qgt.design import (
     DEFAULT_PHI_GRID,
@@ -19,8 +19,6 @@ from qgt.design import (
     OutOfRegime,
     _pois_upper,
     baseline_tests,
-    de_poisson_trajectory,
-    de_step_poisson,
     lp_optimize_profile,
     make_plan,
     optimize_design,

@@ -7,7 +7,8 @@ out.  Decoding the measurements of a support never names an item outside
 it, and decoding mutated measurements either flags the result or names a
 support whose measurements are exactly those, and gives the same outcome
 as with the PGZ oracle as its syndrome decoder and as the stepwise peeling
-oracle, with the same syndrome decoder calls.  The examples are
+oracle, with the same syndrome decoder calls, also where some entries lie
+far above any that a support produces.  The examples are
 derandomized, so every run tries the same inputs.
 """
 
@@ -171,12 +172,22 @@ def test_decode_of_mutated_results_is_flagged_or_exact(case, data):
 
 
 def _mutated_or_random_results(plan, support, data):
-    """The support's measurements with up to 3 edits, or random small values."""
-    if data.draw(st.booleans()):
+    """The support's measurements with up to 3 edits, or random small values,
+    or the support's measurements with 1 to 4 entries, counts included, set
+    above r + t + 1 and up to 2^62, where the decoder clamps them; powers of
+    two among them, which a packing into int64 words would wrap to 0."""
+    kind = data.draw(st.sampled_from(["mutated", "random", "huge"]))
+    size = plan.M * plan.signature.s
+    if kind == "mutated":
         values = _mutated_measurements(plan, support, data, min_edits=0)
-    else:
-        size = plan.M * plan.signature.s
+    elif kind == "random":
         values = np.array(data.draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)), dtype=np.int64)
+    else:
+        values = encode(plan, support).values.copy()
+        low = plan.r + plan.t + 2
+        huge = st.integers(low, 2**62) | st.sampled_from([2**k for k in range(low.bit_length(), 63)])
+        for i in data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4)):
+            values[i] = data.draw(huge)
     return TestResults(M=plan.M, s=plan.signature.s, values=values)
 
 
