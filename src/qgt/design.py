@@ -18,7 +18,7 @@ leaves a residual error floor).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -118,19 +118,16 @@ def lp_optimize_profile(t: int, d: int, load: float) -> tuple[DegreeProfile, flo
 class DesignResult:
     """Optimized profile for one (t, d) pair.
 
-    nodes_per_defective is the pool budget multiplier: a plan needs about
-    nodes_per_defective * K pools.  trace keeps the (load, objective) pairs
-    of the grid points the load search evaluated, in evaluation order, with
-    +inf at infeasible loads; it is for inspection and not serialized.
+    load is the normalized load psi the profile was optimized at, and
+    nodes_per_defective the pool budget multiplier: a plan needs about
+    nodes_per_defective * K pools.
     """
 
     t: int
     d: int
     load: float
     profile: DegreeProfile
-    objective: float
     nodes_per_defective: float
-    trace: list = field(repr=False, default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -165,16 +162,15 @@ _LAST_GRID_INDEX = int((LOAD_SCAN_CAP - LOAD_SCAN_START) / LOAD_SCAN_STEP)
 
 @lru_cache(maxsize=None)
 def optimize_design(t: int, d: int) -> DesignResult:
-    """Search the coarse load grid for its best point, then refine the
-    bracket around it by golden section.
+    """Find the best point of the coarse load grid by bisection on the slope,
+    then refine the bracket around it by golden section.
 
     The objective f(load) = -load * sum lambda_i / i is evaluated through the
-    LP; infeasible loads count as +inf.  On the grid LOAD_SCAN_START +
-    i*LOAD_SCAN_STEP (up to LOAD_SCAN_CAP) the search gallops and then
-    bisects to the last feasible index, and bisects on the slope for the
-    first minimum, evaluating each grid point at most once.  The budget
-    multiplier is -1/f at the minimizer and the mean left degree is load *
-    that multiplier.
+    LP on the grid LOAD_SCAN_START + i*LOAD_SCAN_STEP (up to LOAD_SCAN_CAP);
+    infeasible loads count as +inf.  The bisection finds the first index
+    whose right neighbour is not lower, evaluating each grid point at most
+    once.  The budget multiplier is -1/f at the minimizer and the mean left
+    degree is load * that multiplier.
     """
     if not 1 <= t <= 4:
         raise OutOfRegime(f"capability t={t} outside [1, 4]")
@@ -183,31 +179,23 @@ def optimize_design(t: int, d: int) -> DesignResult:
     if t == 1 and d < 3:
         raise Infeasible("degree-2 items stall single-error pools; need d >= 3 at t=1")
     # Two premises, checked for every (t, d) this function accepts, make the
-    # search land on the same grid point as a scan of the whole grid: the
+    # bisection land on the same grid point as a scan of the whole grid: the
     # feasible grid loads form a prefix (raising the load tightens every
     # contraction constraint), and on that prefix f falls strictly, then
-    # rises strictly.
-    evaluated = {}  # grid index -> (f, profile), in evaluation order
+    # rises strictly.  With +inf past the prefix, "f(i + 1) < f(i)" holds
+    # exactly below the first minimum.
+    evaluated = {}  # grid index -> (f, profile)
 
     def f_at(i):
+        if i > _LAST_GRID_INDEX:
+            return math.inf
         if i not in evaluated:
             evaluated[i] = _objective_at(t, d, _grid_load(i))
         return evaluated[i][0]
 
-    def feasible(i):
-        return i <= _LAST_GRID_INDEX and math.isfinite(f_at(i))
-
-    if not feasible(0):
+    if not math.isfinite(f_at(0)):
         raise Infeasible(f"no feasible load for t={t}, d={d}")
-    # gallop to an infeasible index, or to one past the last grid index
-    good, bad = 0, 1
-    while feasible(bad):
-        good, bad = bad, min(2 * bad, _LAST_GRID_INDEX + 1)
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        good, bad = (mid, bad) if feasible(mid) else (good, mid)
-    last = good
-    best_i, hi_i = 0, last
+    best_i, hi_i = 0, _LAST_GRID_INDEX
     while best_i < hi_i:
         mid = (best_i + hi_i) // 2
         if f_at(mid + 1) < f_at(mid):
@@ -216,7 +204,8 @@ def optimize_design(t: int, d: int) -> DesignResult:
             hi_i = mid
 
     lo = _grid_load(max(best_i - 1, 0))
-    hi = _grid_load(min(best_i + 1, last))
+    # f_at(best_i + 1) was evaluated by the bisection, or lies past the grid
+    hi = _grid_load(best_i + 1 if math.isfinite(f_at(best_i + 1)) else best_i)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
@@ -244,9 +233,7 @@ def optimize_design(t: int, d: int) -> DesignResult:
         d=d,
         load=load_star,
         profile=profile,
-        objective=f_star,
         nodes_per_defective=-1.0 / f_star,
-        trace=[(_grid_load(i), f) for i, (f, _) in evaluated.items()],
     )
 
 
@@ -268,21 +255,7 @@ class Plan:
     pool_size_target: float
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "N": self.N,
-            "K": self.K,
-            "t": self.t,
-            "d": self.d,
-            "M": self.M,
-            "r": self.r,
-            "q": self.q,
-            "s": self.s,
-            "m": self.m,
-            "margin": self.margin,
-            "pools_target": self.pools_target,
-            "pool_size_target": self.pool_size_target,
-        }
+        return {"version": 1, **asdict(self)}
 
 
 def pool_size(target: float, N: int, M: int, d: int) -> int:

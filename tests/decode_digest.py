@@ -1,5 +1,5 @@
-"""Digests of seeded decodes, for showing that a change to the decoder leaves
-its outputs identical.
+"""Digests of seeded decodes and of the designs, for showing that a change to
+the decoder or to the design search leaves its outputs identical.
 
 Run from the root of a source checkout:
 
@@ -21,7 +21,10 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
   measurements no support produces, at the three desk points (seeds 1-3):
   a support's measurements with each pool's first parity entry raised by
   2*(count//2 + 1), as in the benchmark's decode-impossible check, and with
-  every entry of pool `seed` set to 2^62.
+  every entry of pool `seed` set to 2^62;
+- the `design.optimize_design(t, d).to_dict()` of every t = 1..4 and
+  d = 2..32, as json, with the `Infeasible` message in place of the one
+  pair that has none, (1, 2).
 
 A tree whose decoder still takes the t*q syndrome bits has them packed into
 blocks here, and a tree whose graph keeps the incidence as `left_node` and
@@ -125,6 +128,16 @@ def main():
     inconsistent = {"outcomes": _inconsistent_decodes(), "calls": calls}
     digest = hashlib.sha256(json.dumps(inconsistent, sort_keys=True).encode()).hexdigest()
     print(f"inconsistent decodes ({len(inconsistent['outcomes'])}, {len(calls)} calls): {digest}")
+
+    designs = []
+    for t in range(1, 5):
+        for d in range(2, 33):
+            try:
+                designs.append(json.dumps(design.optimize_design(t, d).to_dict()))
+            except design.Infeasible as exc:
+                designs.append(str(exc))
+    digest = hashlib.sha256(json.dumps(designs).encode()).hexdigest()
+    print(f"designs ({len(designs)}): {digest}")
 
 
 if __name__ == "__main__":

@@ -110,10 +110,11 @@ def de_poisson_trajectory(profile: DegreeProfile, load: float, t: int, rounds: i
     return phis, unid
 
 
-def scan_design(t: int, d: int) -> design.DesignResult:
+def scan_design(t: int, d: int) -> tuple[design.DesignResult, list]:
     """optimize_design by a scan of every grid load until the LP gives out.
 
-    trace holds the feasible grid points in grid order, so its index of the
+    Returns the result and the trace: the (load, objective) pairs of the
+    feasible grid points in grid order, so that the trace's index of the
     first minimum is the grid argmin and its length one past the last
     feasible index.
     """
@@ -156,15 +157,8 @@ def scan_design(t: int, d: int) -> design.DesignResult:
     if profile is None:
         load_star = float(trace[best_i][0])
         f_star, profile = objective_at(t, d, load_star)
-    return design.DesignResult(
-        t=t,
-        d=d,
-        load=load_star,
-        profile=profile,
-        objective=f_star,
-        nodes_per_defective=-1.0 / f_star,
-        trace=trace,
-    )
+    result = design.DesignResult(t=t, d=d, load=load_star, profile=profile, nodes_per_defective=-1.0 / f_star)
+    return result, trace
 
 
 def assemble_by_dict(N, M, r, degs, rng):

@@ -216,6 +216,17 @@ def test_impossible_measurements_not_recovered():
     assert out.identified.size == 0
     assert out.resolved_nodes == 0
     assert out.stalled or out.failed_nodes
+    # pool 0 holds items 0, 1 and 2, but reads 5 > r in its first S3 entry
+    # (same parity); found through pools 1 and 2, they leave a residual 2
+    # there, which a clamp of the entries at r would hide
+    plan = TestPlan(BipartiteGraph(6, 3, 3, [[0, 1, 2], [0, 3, 4], [1, 2, 5]]), build_signature(2, 3))
+    blocks = encode(plan, SupportVector(6, np.array([0, 1, 2]))).blocks.copy()
+    assert blocks[0, 3] == 3
+    blocks[0, 3] = 5
+    results = TestResults(M=3, s=plan.signature.s, values=blocks.ravel())
+    out = peel_decode(plan, results)
+    assert out.failed_nodes == 1 and out.resolved_nodes == 2
+    assert out.to_dict() == peel_decode_stepwise(plan, results).to_dict()
 
 
 def test_item_that_overdraws_a_resolved_pool_is_not_a_recovery():

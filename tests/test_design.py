@@ -235,21 +235,34 @@ SEARCH_ROWS = [(t, d) for t in (1, 2, 3, 4) for d in (2, 3, 5, 17, 32) if (t, d)
 
 
 @pytest.mark.parametrize("t,d", SEARCH_ROWS)
-def test_load_search_matches_full_scan(t, d):
-    mine = optimize_design(t, d)
-    ref = scan_design(t, d)
+def test_load_search_matches_full_scan(monkeypatch, t, d):
+    calls = []  # (load, objective) of every LP the search asked for
+    real_objective_at = design._objective_at
+
+    def spy(t, d, load):
+        out = real_objective_at(t, d, load)
+        calls.append((load, out[0]))
+        return out
+
+    monkeypatch.setattr(design, "_objective_at", spy)
+    mine = optimize_design.__wrapped__(t, d)
+    monkeypatch.undo()
+    ref, trace = scan_design(t, d)
     # json spells every float exactly, -0.0 included
     assert json.dumps(mine.to_dict()) == json.dumps(ref.to_dict())
-    # the trace holds each evaluated grid point once, infeasible ones at +inf
-    indices = [round((load - LOAD_SCAN_START) / LOAD_SCAN_STEP) for load, _ in mine.trace]
-    assert len(set(indices)) == len(indices) <= 60
-    for i, (load, f) in zip(indices, mine.trace):
-        assert load == design._grid_load(i)
-        assert f == (ref.trace[i][1] if i < len(ref.trace) else math.inf)
-    feasible = sorted((i, f) for i, (_, f) in zip(indices, mine.trace) if math.isfinite(f))
-    assert feasible[-1][0] == len(ref.trace) - 1
-    assert len(ref.trace) in indices  # the first infeasible index was seen
-    assert feasible[_first_argmin(feasible)][0] == _first_argmin(ref.trace)
+    # the grid points among the calls: each evaluated once (index 0, then at
+    # most two per halving of the grid), infeasible ones at +inf
+    grid = []
+    for load, f in calls:
+        i = round((load - LOAD_SCAN_START) / LOAD_SCAN_STEP)
+        if load == design._grid_load(i):
+            grid.append((i, f))
+    indices = [i for i, _ in grid]
+    assert len(set(indices)) == len(indices) <= 2 * design._LAST_GRID_INDEX.bit_length() + 1
+    for i, f in grid:
+        assert f == (trace[i][1] if i < len(trace) else math.inf)
+    feasible = sorted((i, f) for i, f in grid if math.isfinite(f))
+    assert feasible[_first_argmin(feasible)][0] == _first_argmin(trace)
 
 
 def test_design_result_serialization():
