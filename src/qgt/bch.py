@@ -8,16 +8,20 @@ shortens it without losing minimum distance, but a decode may then land on an
 out-of-range locator; such events surface as DecodeFailure, never as a wrong
 answer.
 
-Decoding recovers the error-locator polynomial from the power-sum syndromes,
-the expected weight w being known in advance: by Peterson's closed forms for
-w <= 3 and by Peterson-Gorenstein-Zierler elimination for w = 4.  The single
-root of weight 1 is the syndrome itself; the roots of every weight from 2 up
-come from one sweep over the first r positions that reads each term as a
-strided slice of one cyclic antilog table.  Every candidate position set is
-re-verified against the full syndrome before it is returned, which turns any
-miscorrection into an explicit failure.  Since the designed distance 2t + 1
-leaves at most one in-range weight-w set per syndrome for w <= t, the result
-depends on the syndrome alone, not on how the locator was found.
+Decoding recovers the error locators from the power-sum syndromes, the
+expected weight w being known in advance.  The single root of weight 1 is
+the syndrome itself.  At weights 2 and 3 a change of variable turns the
+locator polynomial into z^2 + z = c or Z^3 + Z = c (Berlekamp, Rumsey and
+Solomon, 1967), whose roots come from per-field tables built on first use
+(`FieldContext.quadratic_roots` and `cubic_roots`, 4 and 8 MB at q = 20),
+or into a cube root.  At weight 4 Peterson-Gorenstein-Zierler elimination
+finds the locator and one sweep over the first r positions its roots,
+reading each term as a strided slice of one cyclic antilog table.  Every
+candidate position set is re-verified against the full syndrome before it
+is returned, which turns any miscorrection into an explicit failure.  Since
+the designed distance 2t + 1 leaves at most one in-range weight-w set per
+syndrome for w <= t, the result depends on the syndrome alone, not on how
+the roots were found.
 """
 
 from __future__ import annotations
@@ -132,31 +136,72 @@ def _roots_sweep(pcm: ParityCheckMatrix, sigma: list[int], w: int) -> list[int]:
     return (acc == 0).nonzero()[0].tolist()
 
 
-def _sigma_closed_form(field: FieldContext, blocks: list[int], w: int) -> list[int]:
-    """sigma_1..sigma_w for w = 2 or 3 by Peterson's direct solution.
+def _roots_quadratic(field: FieldContext, blocks: list[int]) -> list[int]:
+    """Logs of the two locators of a weight-2 syndrome, by table lookup.
 
-    With S_2 = S_1^2 and S_4 = S_1^4 over GF(2^q), Newton's identities give
-    sigma_1 = S_1 and, for w = 2, sigma_2 = (S_3 + S_1^3) / S_1 with
-    S_1 = X_1 + X_2; for w = 3, with D = S_1^3 + S_3 =
+    The locator X^2 + S_1 X + (S_3 + S_1^3) / S_1 of X_1 + X_2 = S_1 becomes
+    z^2 + z = c with c = 1 + S_3 / S_1^3 under X = S_1 z, so a root z of that
+    gives the locators S_1 z and S_1 (z + 1).  S_1 = 0 or c = 0 means the
+    locators cannot be distinct and nonzero.
+    """
+    log, exp, n = field.log_list, field.exp_list, field.order
+    S1, S3 = blocks[0], blocks[1]
+    if not S1:
+        raise DecodeFailure("zero syndrome for a weight-2 pattern")
+    l1 = log[S1]
+    z = field.quadratic_roots[exp[(log[S3] - 3 * l1) % n] ^ 1 if S3 else 1]
+    if not z:
+        raise DecodeFailure("no two distinct nonzero locators")
+    return [(l1 + log[z]) % n, (l1 + log[z ^ 1]) % n]
+
+
+def _cube_roots(field: FieldContext, k: int) -> list[int]:
+    """The three distinct cube roots of k != 0.  They exist only when 3
+    divides 2^q - 1, that is for even q, and k = alpha^(3m) is a cube; they
+    are alpha^(m + j (2^q - 1) / 3) for j = 0, 1, 2."""
+    n, lk = field.order, field.log_list[k]
+    if n % 3 or lk % 3:
+        raise DecodeFailure("no three distinct cube roots")
+    return [field.exp_list[lk // 3 + j * n // 3] for j in range(3)]
+
+
+def _roots_cubic(field: FieldContext, blocks: list[int]) -> list[int]:
+    """Logs of the three locators of a weight-3 syndrome, by table lookup.
+
+    Peterson's direct solution gives the locator X^3 + sigma_1 X^2 +
+    sigma_2 X + sigma_3: with S_2 = S_1^2 and S_4 = S_1^4 over GF(2^q),
+    Newton's identities give sigma_1 = S_1 and, with D = S_1^3 + S_3 =
     (X_1 + X_2)(X_1 + X_3)(X_2 + X_3), sigma_2 = (S_1^2 S_3 + S_5) / D and
-    sigma_3 = D + S_1 sigma_2.  A zero divisor means the locators cannot be
-    distinct.  S_1 = 0 is valid at w = 3: three distinct locators may sum to
-    zero.
+    sigma_3 = D + S_1 sigma_2.  D = 0 means the locators cannot be distinct.
+    S_1 = 0 is valid: three distinct locators may sum to zero.
+
+    X = Y + S_1 turns the locator into Y^3 + p Y + D with p = S_1^2 +
+    sigma_2.  For p != 0, Y = sqrt(p) Z turns it into Z^3 + Z = D / p^(3/2),
+    whose roots, when it has three distinct ones, come from a table; for
+    p = 0, Y is a cube root of D.  A root Y = S_1 is the locator X = 0.
     """
     log, exp, n = field.log_list, field.exp_list, field.order
     S1, S3 = blocks[0], blocks[1]
     l1 = log[S1] if S1 else 0
     D = S3 ^ exp[3 * l1 % n] if S1 else S3
-    if w == 2:
-        if not S1:
-            raise DecodeFailure("zero syndrome for a weight-2 pattern")
-        return [S1, exp[log[D] - l1 + n] if D else 0]
     if not D:
         raise DecodeFailure("singular locator system")
     num = blocks[2] ^ exp[(2 * l1 + log[S3]) % n] if S1 and S3 else blocks[2]
     sigma2 = exp[log[num] - log[D] + n] if num else 0
-    sigma3 = D ^ exp[l1 + log[sigma2]] if S1 and sigma2 else D
-    return [S1, sigma2, sigma3]
+    p = exp[2 * l1] ^ sigma2 if S1 else sigma2
+    if not p:
+        ys = _cube_roots(field, D)
+    else:
+        lp = log[p]
+        half = (lp + n * (lp & 1)) >> 1  # log sqrt(p): 2 * half = lp mod n
+        packed = field.cubic_roots[exp[(log[D] - 3 * half) % n]]
+        if not packed:
+            raise DecodeFailure("no three distinct locators")
+        q = field.q
+        ys = exp[half + (packed & n)], exp[half + (packed >> q & n)], exp[half + (packed >> 2 * q)]
+    if S1 in ys:
+        raise DecodeFailure("zero locator root")
+    return [log[S1 ^ ys[0]], log[S1 ^ ys[1]], log[S1 ^ ys[2]]]
 
 
 def syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> list[int]:
@@ -192,8 +237,10 @@ def syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> lis
         if blocks[0] == 0:
             raise DecodeFailure("zero syndrome for a weight-1 pattern")
         positions = [f.log_list[blocks[0]]]
-    elif w < 4:
-        positions = _roots_sweep(pcm, _sigma_closed_form(f, blocks, w), w)
+    elif w == 2:
+        positions = _roots_quadratic(f, blocks)
+    elif w == 3:
+        positions = _roots_cubic(f, blocks)
     else:
         # Power sums S_1..S_8; odd ones are measured, even ones follow by squaring.
         S = [0] * (2 * w + 1)
@@ -206,10 +253,11 @@ def syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> lis
     if len(set(positions)) != w or max(positions) >= pcm.r:
         raise DecodeFailure("locator roots not a weight-matched in-range set")
     exp, n = f.exp_list, pcm.n
-    for k, s in enumerate(blocks):
-        e = 2 * k + 1
+    e = 1
+    for s in blocks:
         for p in positions:
             s ^= exp[e * p % n]
         if s:
             raise DecodeFailure("candidate positions do not reproduce the syndrome")
+        e += 2
     return sorted(positions)

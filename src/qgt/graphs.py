@@ -15,6 +15,7 @@ import numpy as np
 
 MAX_PROFILE_DEGREE = 32
 MAX_SWAP_PASSES = 200
+CSR_CHUNK = 1 << 14
 
 
 @dataclass
@@ -67,27 +68,39 @@ class BipartiteGraph:
         right_adj = np.asarray(right_adj, dtype=np.int64)
         if right_adj.shape != (M, r):
             raise ValueError(f"adjacency shape {right_adj.shape} does not match ({M}, {r})")
-        if right_adj.size and (right_adj.min() < 0 or right_adj.max() >= N):
-            raise ValueError("adjacency entry out of range")
-        if (np.diff(right_adj, axis=1) <= 0).any():
+        descent = (right_adj[:, 1:] <= right_adj[:, :-1]).any()
+        if right_adj.size:
+            # an ascending row holds its least and greatest entries at its
+            # ends; otherwise every entry is checked, so the range error wins
+            lo, hi = (right_adj, right_adj) if descent else (right_adj[:, 0], right_adj[:, -1])
+            if lo.min() < 0 or hi.max() >= N:
+                raise ValueError("adjacency entry out of range")
+        if descent:
             raise ValueError("right adjacency rows must be strictly ascending")
         self.N = N
         self.M = M
         self.r = r
         self.right_adj = right_adj
 
-        flat = right_adj.ravel()
-        n = flat.size
+        n = right_adj.size
         if int(N) * n >= 2**63:
             raise ValueError(f"{N} items x {n} entries overflow the int64 sort keys")
         # keys item*n + slot are distinct and sort by item, then slot, so the
-        # sorted slots are exactly the stable argsort of flat
-        keys = flat * n
+        # sorted slots are exactly the stable argsort of the flat adjacency;
+        # a chunk of sorted keys holds a run of items, so one small bincount
+        # counts them, and the temporaries stay chunk-sized
+        keys = right_adj.ravel() * n
         keys += np.arange(n, dtype=np.int64)
         keys.sort()
-        self.left_slot = np.remainder(keys, n, out=keys)
-        self.left_ptr = np.zeros(N + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=N), out=self.left_ptr[1:])
+        left_ptr = np.zeros(N + 1, dtype=np.int64)
+        for start in range(0, n, CSR_CHUNK):
+            part = keys[start : start + CSR_CHUNK]
+            items = part // n
+            left_ptr[items[0] + 1 : items[-1] + 2] += np.bincount(items - items[0])
+            items *= n
+            part -= items
+        self.left_ptr = np.cumsum(left_ptr, out=left_ptr)
+        self.left_slot = keys
 
 
 def _repair_degrees(degs: np.ndarray, target: int, d: int, rng) -> np.ndarray:
@@ -117,17 +130,22 @@ def _try_assemble(N, M, r, degs, rng):
     # rng.integers(M*r) draw.  The keys item*r + slot are distinct and sort
     # by item, then slot, so a repeat is a sorted key whose item equals its
     # predecessor's; item*r + slot < N*r fits in int64 as BipartiteGraph
-    # requires of N*M*r.
+    # requires of N*M*r.  A row that no swap wrote into keeps its sorted copy
+    # and cannot repeat an item, so after the first pass only the rows a pass
+    # wrote (its bad rows and the rows of its drawn slots) are sorted again,
+    # all of them in one sort when that is every row.
     stubs = np.repeat(np.arange(N, dtype=np.int64), degs)
     rng.shuffle(stubs)
     arr = stubs.reshape(M, r)
     slots = np.arange(r, dtype=np.int64)
     total = M * r
+    srt = sub = np.sort(arr, axis=1)
+    rows = np.arange(M)
     for _ in range(MAX_SWAP_PASSES):
-        srt = np.sort(arr, axis=1)
-        bad_rows = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
+        bad_rows = rows[(sub[:, 1:] == sub[:, :-1]).any(axis=1)]
         if bad_rows.size == 0:
             return srt
+        drawn = []
         for g in bad_rows.tolist():
             keys = arr[g] * r
             keys += slots
@@ -140,6 +158,16 @@ def _try_assemble(N, M, r, degs, rng):
             for i in dup.tolist():
                 k = int(rng.integers(total))
                 stubs[i], stubs[k] = stubs[k], stubs[i]
+                drawn.append(k)
+        written = np.zeros(M, dtype=bool)
+        written[bad_rows] = True
+        written[np.array(drawn, dtype=np.int64) // r] = True
+        rows = np.flatnonzero(written)
+        if rows.size == M:
+            srt = sub = np.sort(arr, axis=1)
+        else:
+            sub = np.sort(arr[rows], axis=1)
+            srt[rows] = sub
     return None
 
 
@@ -152,7 +180,8 @@ def sample_graph(N: int, M: int, r: int, profile: DegreeProfile, seed) -> Bipart
     visits the rows that repeat an item at its start, in ascending order; in
     each it swaps, in ascending slot order, every slot whose item sits at a
     lower slot of the row as read at its turn, with the slot of one scalar
-    rng.integers(M * r) draw per swapped slot.
+    rng.integers(M * r) draw per swapped slot.  After the first pass only
+    the rows the previous pass wrote into are sorted again.
     """
     if N < 1 or M < 1:
         raise ValueError("need at least one node on each side")

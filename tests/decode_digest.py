@@ -17,11 +17,18 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
 - every sampled graph, as its sizes, `right_adj`, `left_ptr` and its left
   incidence: the (pool, position) pairs item by item, each item's in
   ascending order;
+- the same for the `graphs.sample_graph` graphs at the desk points that
+  take the most swap passes among seeds 0-59: four passes and a final
+  check, at t = 2 seed 38 and t = 3 seeds 1, 21 and 44;
 - the `DecodeOutcome.to_dict` and the syndrome decoder calls of decodes of
   measurements no support produces, at the three desk points (seeds 1-3):
   a support's measurements with each pool's first parity entry raised by
   2*(count//2 + 1), as in the benchmark's decode-impossible check, and with
   every entry of pool `seed` set to 2^62;
+- the outcome, sorted positions or failure, of `bch.syndrome_decode` at
+  every weight w <= t on seeded random blocks and on the syndromes of
+  seeded in-range sets of every weight 1..t, at the codes (t, r) = (3, 358),
+  (2, 1409), (3, 2221), (4, 2221), (3, 1000) and (3, 13);
 - the `design.optimize_design(t, d).to_dict()` of every t = 1..4 and
   d = 2..32, as json, with the `Infeasible` message in place of the one
   pair that has none, (1, 2).
@@ -45,10 +52,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qgt import codec, design, graphs, sim  # noqa: E402
+from qgt import bch, codec, design, graphs, sim  # noqa: E402
 
 DESK = (2**16, 100, [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)], 3, range(1, 7))
 DENSE = (2**20, 10**4, [(3, 2, 1.5)], 1, range(1, 5))
+MOST_PASSES = [(2, 38), (3, 1), (3, 21), (3, 44)]  # (t, seed) at the desk points
+CODES = [(3, 358), (2, 1409), (3, 2221), (4, 2221), (3, 1000), (3, 13)]
 
 
 def _blocks(pcm, syndrome) -> list[int]:
@@ -62,6 +71,46 @@ def _incidence(graph):
     if hasattr(graph, "left_node"):
         return graph.left_node, graph.left_pos
     return np.divmod(graph.left_slot, graph.r)
+
+
+def _digest_graph(digest, g):
+    for a in [(g.N, g.M, g.r), g.right_adj, g.left_ptr, *_incidence(g)]:
+        digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+
+
+def _most_pass_graphs() -> str:
+    N, K, points, _, _ = DESK
+    digest = hashlib.sha256()
+    for t, seed in MOST_PASSES:
+        _, d, margin = points[t - 1]
+        res = design.optimize_design(t, d)
+        sizes = design.make_plan(N, K, res, margin=margin)
+        _digest_graph(digest, graphs.sample_graph(N, sizes.M, sizes.r, res.profile, seed))
+    return digest.hexdigest()
+
+
+def _syndrome_outcomes() -> list:
+    """syndrome_decode at every weight on seeded blocks at each code."""
+    out = []
+    for t, r in CODES:
+        pcm = bch.build_parity_check(t, r)
+        exp, n = pcm.field.exp_list, pcm.n
+        rng = np.random.default_rng(t * 10000 + r)
+        block_sets = [rng.integers(0, n + 1, size=t).tolist() for _ in range(300)]
+        for w in range(1, t + 1):
+            for _ in range(300):
+                blocks = [0] * t
+                for p in rng.choice(r, size=w, replace=False).tolist():
+                    for k in range(t):
+                        blocks[k] ^= exp[(2 * k + 1) * p % n]
+                block_sets.append(blocks)
+        for blocks in block_sets:
+            for w in range(t + 1):
+                try:
+                    out.append(bch.syndrome_decode(pcm, blocks, w))
+                except bch.DecodeFailure:
+                    out.append("failure")
+    return out
 
 
 def _inconsistent_decodes() -> list:
@@ -103,8 +152,7 @@ def main():
         nonlocal graph_count
         g = real_sample(*args)
         graph_count += 1
-        for a in [(g.N, g.M, g.r), g.right_adj, g.left_ptr, *_incidence(g)]:
-            graph_digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+        _digest_graph(graph_digest, g)
         return g
 
     codec.syndrome_decode, sim.peel_decode, sim.sample_graph = spy_decode, spy_peel, spy_sample
@@ -123,11 +171,17 @@ def main():
         digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
         print(f"{name} ({len(data)}): {digest}")
     print(f"sampled graphs ({graph_count}): {graph_digest.hexdigest()}")
+    print(f"most-pass desk graphs ({len(MOST_PASSES)}): {_most_pass_graphs()}")
 
     calls.clear()
     inconsistent = {"outcomes": _inconsistent_decodes(), "calls": calls}
     digest = hashlib.sha256(json.dumps(inconsistent, sort_keys=True).encode()).hexdigest()
     print(f"inconsistent decodes ({len(inconsistent['outcomes'])}, {len(calls)} calls): {digest}")
+
+    outcomes = _syndrome_outcomes()
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    failures = outcomes.count("failure")
+    print(f"syndrome_decode outcomes ({len(outcomes)}, {failures} failures): {digest}")
 
     designs = []
     for t in range(1, 5):

@@ -3,12 +3,13 @@
 None of these run in the CLI or the simulator: the large-pool limit of the
 peeling recursion, which tests check against the finite-pool-size recursion
 and against decoder runs; the full load scan, which checks the search in
-`design.optimize_design`; the slot-by-slot dict walk, which checks the
-multi-edge swap passes of `graphs._try_assemble`; the bitwise syndrome, the
-decoding table built by enumerating every in-range position set and the
-all-elimination PGZ decoder, with its own root sweep, which check the BCH
-decoder; and the peeling loop on numpy measurement blocks, which checks
-`codec.peel_decode`.
+`design.optimize_design`; the slot-by-slot dict walk and the assembly
+that sorts every row at every pass, which check the multi-edge swap passes
+of `graphs._try_assemble`; the bitwise syndrome, the decoding table built
+by enumerating every in-range position set, the all-elimination PGZ
+decoder, with its own root sweep, and the decoder that finds the roots of
+weights 2 and 3 by the root sweep, which check the BCH decoder; and the
+peeling loop on numpy measurement blocks, which checks `codec.peel_decode`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgt import codec, design
-from qgt.bch import DecodeFailure, ParityCheckMatrix, _pgz_sigma
+from qgt.bch import DecodeFailure, ParityCheckMatrix, _pgz_sigma, _roots_sweep
 from qgt.gf2m import FieldContext
 from qgt.graphs import MAX_SWAP_PASSES, DegreeProfile
 
@@ -187,6 +188,35 @@ def assemble_by_dict(N, M, r, degs, rng):
     return None
 
 
+def assemble_full_resort(N, M, r, degs, rng):
+    """graphs._try_assemble with every row sorted again at the start of
+    every pass; the same random stream and the same sorted adjacency, or
+    None when the pass budget runs out."""
+    stubs = np.repeat(np.arange(N, dtype=np.int64), degs)
+    rng.shuffle(stubs)
+    arr = stubs.reshape(M, r)
+    slots = np.arange(r, dtype=np.int64)
+    total = M * r
+    for _ in range(MAX_SWAP_PASSES):
+        srt = np.sort(arr, axis=1)
+        bad_rows = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
+        if bad_rows.size == 0:
+            return srt
+        for g in bad_rows.tolist():
+            keys = arr[g] * r
+            keys += slots
+            keys.sort()
+            items = keys // r
+            dup = keys[1:][items[1:] == items[:-1]]
+            dup %= r
+            dup.sort()
+            dup += g * r
+            for i in dup.tolist():
+                k = int(rng.integers(total))
+                stubs[i], stubs[k] = stubs[k], stubs[i]
+    return None
+
+
 def alpha_pow(field: FieldContext, e: int) -> int:
     """alpha^e with the exponent reduced mod 2^q - 1."""
     return field.exp_list[e % field.order]
@@ -288,6 +318,68 @@ def pgz_syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) ->
         raise DecodeFailure("locator roots not a weight-matched in-range set")
     if block_syndromes(pcm, positions) != blocks:
         raise DecodeFailure("candidate positions do not reproduce the syndrome")
+    return sorted(positions)
+
+
+def _sigma_closed_form(field: FieldContext, blocks: list[int], w: int) -> list[int]:
+    """sigma_1..sigma_w for w = 2 or 3 by Peterson's direct solution: sigma_1
+    = S_1 and, for w = 2, sigma_2 = (S_3 + S_1^3) / S_1; for w = 3, with
+    D = S_1^3 + S_3, sigma_2 = (S_1^2 S_3 + S_5) / D and sigma_3 = D +
+    S_1 sigma_2.  A zero divisor means the locators cannot be distinct."""
+    log, exp, n = field.log_list, field.exp_list, field.order
+    S1, S3 = blocks[0], blocks[1]
+    l1 = log[S1] if S1 else 0
+    D = S3 ^ exp[3 * l1 % n] if S1 else S3
+    if w == 2:
+        if not S1:
+            raise DecodeFailure("zero syndrome for a weight-2 pattern")
+        return [S1, exp[log[D] - l1 + n] if D else 0]
+    if not D:
+        raise DecodeFailure("singular locator system")
+    num = blocks[2] ^ exp[(2 * l1 + log[S3]) % n] if S1 and S3 else blocks[2]
+    sigma2 = exp[log[num] - log[D] + n] if num else 0
+    sigma3 = D ^ exp[l1 + log[sigma2]] if S1 and sigma2 else D
+    return [S1, sigma2, sigma3]
+
+
+def sweep_syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> list[int]:
+    """bch.syndrome_decode with the roots of every weight from 2 up found by
+    bch._roots_sweep over the first r positions, the locator of weights 2
+    and 3 by _sigma_closed_form; same contract and exceptions."""
+    if len(blocks) != pcm.t or min(blocks) < 0 or max(blocks) > pcm.n:
+        raise ValueError(f"need {pcm.t} syndrome blocks in [0, 2^{pcm.q}), got {list(blocks)}")
+    w = expected_weight
+    if not 0 <= w <= pcm.t:
+        raise ValueError(f"expected weight {w} outside [0, {pcm.t}]")
+    if w == 0:
+        if any(blocks):
+            raise DecodeFailure("nonzero syndrome for an empty pattern")
+        return []
+
+    f = pcm.field
+    if w == 1:
+        if blocks[0] == 0:
+            raise DecodeFailure("zero syndrome for a weight-1 pattern")
+        positions = [f.log_list[blocks[0]]]
+    elif w < 4:
+        positions = _roots_sweep(pcm, _sigma_closed_form(f, blocks, w), w)
+    else:
+        S = [0] * (2 * w + 1)
+        for k in range(w):
+            S[2 * k + 1] = blocks[k]
+        for i in range(1, w + 1):
+            S[2 * i] = f.sqr(S[i])
+        positions = _roots_sweep(pcm, _pgz_sigma(f, S, w), w)
+
+    if len(set(positions)) != w or max(positions) >= pcm.r:
+        raise DecodeFailure("locator roots not a weight-matched in-range set")
+    exp, n = f.exp_list, pcm.n
+    for k, s in enumerate(blocks):
+        e = 2 * k + 1
+        for p in positions:
+            s ^= exp[e * p % n]
+        if s:
+            raise DecodeFailure("candidate positions do not reproduce the syndrome")
     return sorted(positions)
 
 

@@ -3,10 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import alpha_pow, decode_by_enumeration, pack_blocks, pgz_syndrome_decode, roots_by_take, syndrome_of
+from oracles import (
+    alpha_pow,
+    decode_by_enumeration,
+    pack_blocks,
+    pgz_syndrome_decode,
+    roots_by_take,
+    sweep_syndrome_decode,
+    syndrome_of,
+)
 from qgt import bch
 from qgt.bch import DecodeFailure, build_parity_check, syndrome_decode
-from qgt.gf2m import make_field
+from qgt.gf2m import FieldContext, make_field
 
 H_1_7 = np.array(
     [
@@ -68,7 +76,7 @@ def test_round_trip_small():
                     assert got == sorted(pos)
 
 
-@pytest.mark.parametrize("t,r", [(2, 5), (2, 7), (3, 7), (4, 7), (2, 13), (3, 13)])
+@pytest.mark.parametrize("t,r", [(2, 5), (2, 7), (3, 7), (4, 7), (2, 13), (3, 13), (3, 15)])
 def test_every_syndrome_matches_enumeration(t, r):
     # the decoder returns the unique in-range weight-w set with the syndrome
     # when there is one and fails otherwise, for every syndrome and w <= t
@@ -107,7 +115,9 @@ def _zero_sum_triples(pcm, count):
     return out
 
 
-@pytest.mark.parametrize("t,r", [(3, 358), (1, 1003), (2, 1409), (3, 2221), (1, 802), (4, 200)])
+@pytest.mark.parametrize(
+    "t,r", [(3, 358), (1, 1003), (2, 1409), (3, 2221), (1, 802), (4, 200), (3, 1000), (4, 2221)]
+)
 def test_matches_pgz_oracle(t, r):
     # same set or same failure as elimination at every weight, on random
     # syndromes, on in-range patterns of weight <= t and on patterns with one
@@ -124,6 +134,88 @@ def test_matches_pgz_oracle(t, r):
         blocks = pack_blocks(pcm, syn)
         for w in range(t + 1):
             assert _outcome(syndrome_decode, pcm, blocks, w) == _outcome(pgz_syndrome_decode, pcm, blocks, w)
+
+
+def _blocks_of(pcm, positions):
+    return pack_blocks(pcm, syndrome_of(pcm, positions))
+
+
+def _cube_root_triples(pcm, count, rng):
+    """Up to count in-range position triples whose locators X_j = s + y w^j,
+    w a primitive cube root of 1, make p = sigma_1^2 + sigma_2 vanish."""
+    f, n = pcm.field, pcm.n
+    omega = alpha_pow(f, n // 3)
+    out = []
+    for _ in range(50 * count):
+        s, y = (int(v) for v in rng.integers(1, n + 1, size=2))
+        ys = [y, f.mul(y, omega), f.mul(y, f.sqr(omega))]
+        pos = sorted(f.log_list[s ^ v] if s ^ v else n for v in ys)
+        if pos[-1] < pcm.r:
+            out.append(pos)
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize("t,r", [(3, 358), (2, 1409), (3, 2221), (4, 2221), (3, 1000), (3, 13), (4, 63)])
+def test_root_tables_match_sweep_oracle(t, r, monkeypatch):
+    # same set or same failure as the root sweep at every weight, on random
+    # blocks, on in-range sets, on sets with a locator beyond r, on blocks
+    # with S_5 = S_1^5 (p = 0 at weight 3) and, at even q, on in-range
+    # triples with p = 0, whose locators are cube roots shifted by sigma_1
+    cube_calls = []
+    real_cube_roots = bch._cube_roots
+    monkeypatch.setattr(bch, "_cube_roots", lambda f, k: cube_calls.append(k) or real_cube_roots(f, k))
+    pcm = build_parity_check(t, r)
+    f, n = pcm.field, pcm.n
+    rng = np.random.default_rng(t * 10000 + r + 1)
+    block_sets = []
+    for _ in range(200):
+        block_sets.append(rng.integers(0, n + 1, size=t).tolist())
+        w = int(rng.integers(1, t + 1))
+        pos = rng.choice(r, size=w, replace=False).tolist()
+        block_sets.append(_blocks_of(pcm, pos))
+        block_sets.append(_blocks_of(pcm, pos[:-1] + [int(rng.integers(r, n))] if r < n else pos))
+        if t >= 3:
+            S1 = int(rng.integers(0, n + 1))
+            fifth = f.exp_list[5 * f.log_list[S1] % n] if S1 else 0
+            rest = rng.integers(0, n + 1, size=t - 2).tolist()
+            block_sets.append([S1, rest[0], fifth] + rest[1:])
+    triples = _cube_root_triples(pcm, 40, rng) if t >= 3 and pcm.q % 2 == 0 else []
+    block_sets += [_blocks_of(pcm, pos) for pos in triples]
+    for blocks in block_sets:
+        for w in range(t + 1):
+            assert _outcome(syndrome_decode, pcm, blocks, w) == _outcome(sweep_syndrome_decode, pcm, blocks, w)
+    for pos in triples:
+        assert syndrome_decode(pcm, _blocks_of(pcm, pos), 3) == pos
+    if t >= 3:
+        assert len(cube_calls) >= 20
+        assert len(triples) == (40 if pcm.q % 2 == 0 else 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_root_tables_are_lazy_and_exact(q):
+    field = FieldContext(q, make_field(q).primitive_poly)
+    assert "quadratic_roots" not in vars(field) and "cubic_roots" not in vars(field)
+    size, n = 1 << q, field.order
+    quad, cubic = field.quadratic_roots, field.cubic_roots
+    assert len(quad) == len(cubic) == size
+    roots = {c: [] for c in range(size)}
+    for z in range(size):
+        roots[field.sqr(z) ^ z].append(z)
+    for c in range(size):
+        pair = [z for z in roots[c] if z > 1]
+        assert quad[c] == (min(pair) if pair else 0)
+    roots = {c: [] for c in range(size)}
+    for z in range(size):
+        roots[field.mul(field.sqr(z), z) ^ z].append(z)
+    for c in range(size):
+        packed = cubic[c]
+        logs = [packed >> (q * j) & n for j in range(3)]
+        if len(roots[c]) == 3:
+            assert sorted(field.exp_list[lg] for lg in logs) == roots[c]
+        else:
+            assert packed == 0
 
 
 def _locator(field, roots):
@@ -176,7 +268,11 @@ def test_weights_up_to_3_bypass_elimination(monkeypatch):
     def elimination(*args):
         raise AssertionError("PGZ elimination reached")
 
+    def sweep(*args):
+        raise AssertionError("root sweep reached")
+
     monkeypatch.setattr(bch, "_pgz_sigma", elimination)
+    monkeypatch.setattr(bch, "_roots_sweep", sweep)
     pcm = build_parity_check(4, 200)
     rng = np.random.default_rng(4)
     for w in (1, 2, 3):

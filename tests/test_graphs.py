@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_by_dict
+from oracles import assemble_by_dict, assemble_full_resort
 from qgt import graphs
 from qgt.design import make_plan, optimize_design
 from qgt.graphs import BipartiteGraph, profile_from_lambda, sample_graph
@@ -82,6 +82,19 @@ def test_left_csr_matches_stable_argsort():
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_left_csr_across_key_chunks(chunk, monkeypatch):
+    # chunks of sorted keys that split an item's run, or hold a single key
+    monkeypatch.setattr(graphs, "CSR_CHUNK", chunk)
+    p = profile_from_lambda(4, [0.0, 0.3, 0.4, 0.3])
+    for N, M, r in [(14, 3, 7), (50, 20, 7), (300, 40, 21)]:
+        adj = EXAMPLE_ADJ if N == 14 else sample_graph(N, M, r, p, seed=N + M).right_adj
+        g = BipartiteGraph(N, M, r, adj)
+        ptr, slot = _stable_argsort_csr(N, g.right_adj)
+        assert np.array_equal(g.left_ptr, ptr)
+        assert np.array_equal(g.left_slot, slot)
+
+
 def test_bipartite_graph_validation():
     with pytest.raises(ValueError):
         BipartiteGraph(14, 3, 7, EXAMPLE_ADJ[:, ::-1])  # descending rows
@@ -91,6 +104,38 @@ def test_bipartite_graph_validation():
         BipartiteGraph(14, 3, 7, bad)
     with pytest.raises(ValueError):
         BipartiteGraph(14, 2, 7, EXAMPLE_ADJ)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_bipartite_graph_range_error_wins(descending):
+    # an entry out of range is reported as such, also in a row that does not
+    # ascend, and whether it sits in the first, a middle or the last column
+    for col, value in [(0, -1), (3, 14), (3, -5), (6, 14), (6, 99)]:
+        bad = EXAMPLE_ADJ.copy()
+        bad[1, col] = value
+        if descending:
+            bad = bad[:, ::-1]
+        with pytest.raises(ValueError, match="adjacency entry out of range"):
+            BipartiteGraph(14, 3, 7, bad)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        BipartiteGraph(14, 3, 7, EXAMPLE_ADJ[:, [0, 1, 1, 2, 3, 4, 5]])
+
+
+def test_bipartite_graph_edge_sizes():
+    # one column: no pairs to compare, the range is still checked
+    g = BipartiteGraph(5, 3, 1, [[4], [0], [4]])
+    assert g.left_ptr.tolist() == [0, 1, 1, 1, 1, 3]
+    assert g.left_slot.tolist() == [1, 0, 2]
+    for value in (-1, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            BipartiteGraph(5, 3, 1, [[4], [value], [4]])
+    # no pools or no columns: an empty incidence
+    for M, r in [(0, 3), (3, 0), (0, 0)]:
+        g = BipartiteGraph(6, M, r, np.zeros((M, r)))
+        assert g.left_ptr.tolist() == [0] * 7
+        assert g.left_slot.size == 0 and g.left_slot.dtype == np.int64
+    with pytest.raises(ValueError, match="does not match"):
+        BipartiteGraph(6, 1, 0, np.zeros((0, 0)))
 
 
 def test_sample_graph_basic_shape():
@@ -162,17 +207,20 @@ class _Recording:
 
 
 def _assert_same_assembly(N, M, r, degs, rng):
-    """Both assemblers from the same degrees and generator state agree."""
+    """The three assemblers from the same degrees and generator state agree."""
     degs = np.asarray(degs, dtype=np.int64)
     want_rng = copy.deepcopy(rng)
     got_rng = copy.deepcopy(rng)
+    resort_rng = copy.deepcopy(rng)
     want = assemble_by_dict(N, M, r, degs, want_rng)
     got = graphs._try_assemble(N, M, r, degs, got_rng)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    resorted = assemble_full_resort(N, M, r, degs, resort_rng)
+    for other, other_rng in [(want, want_rng), (resorted, resort_rng)]:
+        assert (got is None) == (other is None)
+        if other is not None:
+            assert got.dtype == other.dtype
+            assert np.array_equal(got, other)
+        assert got_rng.bit_generator.state == other_rng.bit_generator.state
     return got
 
 
@@ -187,6 +235,38 @@ def test_assembly_matches_dict_walk_at_desk_points(t, d, margin):
     degs = graphs._repair_degrees(degs.astype(np.int64), M * r, d, rng)
     adj = _assert_same_assembly(N, M, r, degs, rng)
     assert (np.diff(adj, axis=1) > 0).all()
+
+
+class _SortSpy:
+    """Stands in for numpy in graphs and logs the row count of each 2-d sort."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sort(self, a, axis=-1):
+        if a.ndim == 2:
+            self.rows.append(a.shape[0])
+        return np.sort(a, axis=axis)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_assembly_resorts_only_written_rows(seed, monkeypatch):
+    # at desk t = 1 every row is written in pass 1, so pass 2 sorts them all
+    # at once; pass 3 sorts only the few rows that pass 2 wrote
+    des = optimize_design(1, 3)
+    plan = make_plan(2**16, 100, des, 1.6)
+    N, M, r = plan.N, plan.M, plan.r
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    degs = rng.choice(np.arange(1, 4), size=N, p=des.profile.node_probs)
+    degs = graphs._repair_degrees(degs.astype(np.int64), M * r, 3, rng)
+    spy = _SortSpy()
+    monkeypatch.setattr(graphs, "np", spy)
+    _assert_same_assembly(N, M, r, degs, rng)
+    assert spy.rows[:2] == [M, M]
+    assert 0 < spy.rows[2] < M // 4
 
 
 def test_assembly_matches_dict_walk_in_a_single_row():
