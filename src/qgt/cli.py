@@ -14,6 +14,7 @@ import secrets
 import sys
 
 from . import codec, design
+from .bch import MAX_CORRECTION
 from .graphs import MAX_PROFILE_DEGREE, sample_graph
 
 TABLE_D_RANGE = {1: range(2, 19), 2: range(2, 18), 3: range(2, 18)}
@@ -22,6 +23,10 @@ COMPARE_DEFAULT_D = {1: 18, 2: 17, 3: 17}
 
 class UsageError(Exception):
     """Parameter values a command cannot run with (exit code 2)."""
+
+
+class FileError(Exception):
+    """A file that cannot be read or written, or files that do not fit together (exit code 1)."""
 
 
 def _require(ok, message):
@@ -48,8 +53,7 @@ def _load_json(path):
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON and undecodable bytes
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        sys.exit(1)
+        raise FileError(f"cannot read {path}: {exc}") from None
 
 
 def _emit(text, out):
@@ -58,8 +62,7 @@ def _emit(text, out):
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-            sys.exit(1)
+            raise FileError(f"cannot write {out}: {exc}") from None
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -98,11 +101,9 @@ def cmd_gen(args):
     else:
         M, r = args.M, args.r
     try:
-        graph = sample_graph(args.N, M, r, res.profile, seed)
-        signature = codec.build_signature(args.t, r)
+        test_plan = codec.TestPlan(sample_graph(args.N, M, r, res.profile, seed), args.t, seed=seed)
     except (ValueError, RuntimeError) as exc:
         raise UsageError(f"--M {M} --r {r}: {exc}") from None
-    test_plan = codec.TestPlan(graph, signature, seed=seed)
     _emit(json.dumps(test_plan.to_dict()) + "\n", args.out)
 
 
@@ -110,8 +111,7 @@ def cmd_encode(args):
     plan = codec.TestPlan.from_dict(_load_json(args.plan))
     support = codec.SupportVector.from_dict(_load_json(args.support))
     if support.N != plan.N:
-        print(f"error: support is over N={support.N}, plan over N={plan.N}", file=sys.stderr)
-        sys.exit(1)
+        raise FileError(f"support is over N={support.N}, plan over N={plan.N}")
     results = codec.encode(plan, support)
     _emit(json.dumps(results.to_dict()) + "\n", args.out)
 
@@ -128,7 +128,7 @@ def cmd_decode(args):
     outcome = codec.peel_decode(plan, results, max_iterations=args.max_iterations)
     _emit(json.dumps(outcome.to_dict(), indent=2) + "\n", args.out)
     if outcome.stalled or outcome.failed_nodes:
-        sys.exit(1)
+        return 1
 
 
 def cmd_simulate(args):
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common_design(sp):
-        sp.add_argument("--t", type=int, required=True, choices=[1, 2, 3, 4])
+        sp.add_argument("--t", type=int, required=True, choices=range(1, MAX_CORRECTION + 1))
         sp.add_argument("--d", type=int, required=True)
 
     def common_out(sp):
@@ -278,16 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except codec.FormatError as exc:
+        return args.func(args) or 0
+    except (codec.FormatError, FileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, design.Infeasible, design.OutOfRegime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return 0
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 A test plan is a pooling graph plus a signature matrix shared by all pools.
 The signature for capability t and pool size r stacks an all-ones counting row
 on top of the BCH parity-check rows, so a pool's measurement block holds the
-number of its defective members and, mod 2, their BCH syndrome.  The full
-m x N measurement matrix is never materialized.
+number of its defective members and, mod 2, their BCH syndrome; it is built
+once per (t, r) and shared, read-only, by every plan with those parameters.
+The full m x N measurement matrix is never materialized.
 
 Decoding peels: any pool whose residual count is at most t is resolved by BCH
 syndrome decoding, once the located columns account for its whole residual
@@ -18,7 +19,7 @@ tracks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,9 +48,9 @@ def _check_version(version, expected: int, kind: str):
         raise FormatError(f"unknown {kind} format version {version!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignatureMatrix:
-    """All-ones counting row stacked on the BCH parity rows; int64, shape (s, r)."""
+    """All-ones counting row stacked on the BCH parity rows; int64, shape (s, r), read-only."""
 
     t: int
     q: int
@@ -89,21 +90,21 @@ def tests_per_pool(t: int, r: int) -> int:
     return t * field_degree(r) + 1
 
 
+@lru_cache(maxsize=None)
 def build_signature(t: int, r: int) -> SignatureMatrix:
+    """The signature of capability t at pool size r; one shared object per (t, r)."""
     pcm = build_parity_check(t, r)
     mat = np.vstack([np.ones((1, r), dtype=np.int64), pcm.rows.astype(np.int64)])
+    mat.flags.writeable = False
     return SignatureMatrix(t=t, q=pcm.q, s=tests_per_pool(t, r), r=r, matrix=mat, parity=pcm)
 
 
 class TestPlan:
-    """Pooling graph plus signature; the complete description of one design."""
+    """Pooling graph plus the signature of capability t; the complete description of one design."""
 
-    def __init__(self, graph: BipartiteGraph, signature: SignatureMatrix, seed=None):
-        if signature.r != graph.r:
-            raise ValueError("signature width does not match pool size")
+    def __init__(self, graph: BipartiteGraph, t: int, seed=None):
         self.graph = graph
-        self.signature = signature
-        self.t = signature.t
+        self.signature = build_signature(t, graph.r)
         self.seed = seed
 
     @property
@@ -124,7 +125,7 @@ class TestPlan:
             "N": self.N,
             "M": self.M,
             "r": self.r,
-            "t": self.t,
+            "t": self.signature.t,
             "q": self.signature.q,
             "seed": self.seed,
             "right_adj": self.graph.right_adj.tolist(),
@@ -154,10 +155,9 @@ class TestPlan:
         except ValueError as exc:
             raise FormatError(f"bad adjacency: {exc}") from exc
         try:
-            sig = build_signature(t, r)
+            return cls(graph, t, seed=seed)
         except ValueError as exc:
             raise FormatError(f"bad plan parameters: {exc}") from exc
-        return cls(graph, sig, seed=seed)
 
 
 @dataclass
@@ -289,7 +289,7 @@ def peel_decode(plan: TestPlan, results: TestResults, max_iterations: int | None
     account for the whole residual block, is one comparison of ints.
     """
     g, sig = plan.graph, plan.signature
-    M, s, t, q = g.M, sig.s, plan.t, sig.q
+    M, s, t, q = g.M, sig.s, sig.t, sig.q
     if results.M != M or results.s != s:
         raise ValueError("results shape does not match plan")
     if max_iterations is None:

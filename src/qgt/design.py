@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bch import field_degree
+from .bch import MAX_CORRECTION, field_degree
 from .codec import tests_per_pool
 from .gf2m import MAX_DEGREE
 from .graphs import MAX_PROFILE_DEGREE, DegreeProfile, profile_from_lambda
@@ -172,8 +172,8 @@ def optimize_design(t: int, d: int) -> DesignResult:
     once.  The budget multiplier is -1/f at the minimizer and the mean left
     degree is load * that multiplier.
     """
-    if not 1 <= t <= 4:
-        raise OutOfRegime(f"capability t={t} outside [1, 4]")
+    if not 1 <= t <= MAX_CORRECTION:
+        raise OutOfRegime(f"capability t={t} outside [1, {MAX_CORRECTION}]")
     if not 2 <= d <= MAX_PROFILE_DEGREE:
         raise ValueError(f"max degree d={d} outside [2, {MAX_PROFILE_DEGREE}]")
     if t == 1 and d < 3:

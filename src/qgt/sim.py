@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .bch import field_degree
-from .codec import SupportVector, TestPlan, build_signature, encode, peel_decode, tests_per_pool
+from .codec import SupportVector, TestPlan, encode, peel_decode, tests_per_pool
 from .design import DesignResult, Plan, make_plan, optimize_design, pool_size
 from .gf2m import MAX_DEGREE
 from .graphs import sample_graph
@@ -84,7 +84,6 @@ def sample_support(N: int, gamma: float, seed) -> SupportVector:
 
 
 def _run_chunk(N, K, t, profile, M, r, seed, lo, hi):
-    sig = build_signature(t, r)
     gamma = K / N
     defect_total = 0
     unidentified = 0
@@ -97,7 +96,7 @@ def _run_chunk(N, K, t, profile, M, r, seed, lo, hi):
         ).spawn(2)
         graph = sample_graph(N, M, r, profile, graph_seed)
         support = sample_support(N, gamma, support_seed)
-        plan = TestPlan(graph, sig)
+        plan = TestPlan(graph, t)
         out = peel_decode(plan, encode(plan, support))
         truth = set(support.items.tolist())
         found = set(out.identified.tolist())

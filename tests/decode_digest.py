@@ -20,6 +20,10 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
 - the same for the `graphs.sample_graph` graphs at the desk points that
   take the most swap passes among seeds 0-59: four passes and a final
   check, at t = 2 seed 38 and t = 3 seeds 1, 21 and 44;
+- a plan file's round trip at the three desk points (seed 1 each): the
+  sampled plan's `to_dict` as JSON text, the `to_dict` of the plan that
+  `TestPlan.from_dict` reads back from that text, and the `to_dict` of
+  that plan's `encode` of a sampled support and of its `peel_decode`;
 - the `DecodeOutcome.to_dict` and the syndrome decoder calls of decodes of
   measurements no support produces, at the three desk points (seeds 1-3):
   a support's measurements with each pool's first parity entry raised by
@@ -36,7 +40,9 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
 A tree whose decoder still takes the t*q syndrome bits has them packed into
 blocks here, and a tree whose graph keeps the incidence as `left_node` and
 `left_pos` has them read from there instead of from the flat indices
-`left_slot`, so trees on either side of either change give the same digests.
+`left_slot`, so trees on either side of either change give the same digests;
+likewise a tree whose `TestPlan` takes the signature, not t, is handed
+`codec.build_signature(t, r)`.
 pytest does not collect this file.
 """
 
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -71,6 +78,13 @@ def _incidence(graph):
     if hasattr(graph, "left_node"):
         return graph.left_node, graph.left_pos
     return np.divmod(graph.left_slot, graph.r)
+
+
+def _plan(graph, t, seed=None):
+    """This tree's TestPlan of capability t on graph."""
+    if "signature" in inspect.signature(codec.TestPlan).parameters:
+        return codec.TestPlan(graph, codec.build_signature(t, graph.r), seed=seed)
+    return codec.TestPlan(graph, t, seed=seed)
 
 
 def _digest_graph(digest, g):
@@ -120,16 +134,30 @@ def _inconsistent_decodes() -> list:
     for t, d, margin in points:
         res = design.optimize_design(t, d)
         sizes = design.make_plan(N, K, res, margin=margin)
-        sig = codec.build_signature(t, sizes.r)
         for seed in (1, 2, 3):
-            plan = codec.TestPlan(graphs.sample_graph(N, sizes.M, sizes.r, res.profile, seed), sig)
+            plan = _plan(graphs.sample_graph(N, sizes.M, sizes.r, res.profile, seed), t)
             blocks = codec.encode(plan, sim.sample_support(N, K / N, seed)).blocks
             raised, huge = blocks.copy(), blocks.copy()
             raised[:, 1] += 2 * (raised[:, 0] // 2 + 1)
             huge[seed] = 2**62
             for tampered in (raised, huge):
-                results = codec.TestResults(M=plan.M, s=sig.s, values=tampered.ravel())
+                results = codec.TestResults(M=plan.M, s=plan.signature.s, values=tampered.ravel())
                 out.append(codec.peel_decode(plan, results).to_dict())
+    return out
+
+
+def _plan_round_trips() -> list:
+    """A sampled plan through its file format and back, then encoded and
+    decoded, at each desk point."""
+    N, K, points, _, _ = DESK
+    out = []
+    for t, d, margin in points:
+        res = design.optimize_design(t, d)
+        sizes = design.make_plan(N, K, res, margin=margin)
+        text = json.dumps(_plan(graphs.sample_graph(N, sizes.M, sizes.r, res.profile, 1), t, seed=1).to_dict())
+        plan = codec.TestPlan.from_dict(json.loads(text))
+        results = codec.encode(plan, sim.sample_support(N, K / N, 1))
+        out += [text, plan.to_dict(), results.to_dict(), codec.peel_decode(plan, results).to_dict()]
     return out
 
 
@@ -177,6 +205,9 @@ def main():
     inconsistent = {"outcomes": _inconsistent_decodes(), "calls": calls}
     digest = hashlib.sha256(json.dumps(inconsistent, sort_keys=True).encode()).hexdigest()
     print(f"inconsistent decodes ({len(inconsistent['outcomes'])}, {len(calls)} calls): {digest}")
+
+    digest = hashlib.sha256(json.dumps(_plan_round_trips()).encode()).hexdigest()
+    print(f"plan round trips ({len(DESK[2])}): {digest}")
 
     outcomes = _syndrome_outcomes()
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()

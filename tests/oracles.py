@@ -399,7 +399,7 @@ def peel_decode_stepwise(
     blocks after each pass.
     """
     g, sig = plan.graph, plan.signature
-    M, s, t = g.M, sig.s, plan.t
+    M, s, t = g.M, sig.s, sig.t
     if results.M != M or results.s != s:
         raise ValueError("results shape does not match plan")
     if max_iterations is None:

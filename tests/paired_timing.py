@@ -14,6 +14,8 @@ themselves.  LAYER is one of
 - `syndrome_decode`: 2000 `bch.syndrome_decode` calls of weight `--weight`
   at the point's code, 3 in 4 on the syndrome of a random in-range set of
   that weight and 1 in 4 on random blocks;
+- `encode`: one `codec.encode` of a sampled support, each tree on its own
+  plan built from the same adjacency;
 - `peel_decode`: one `codec.peel_decode` of a sampled support's
   measurements, each tree on its own plan built from the same adjacency;
 - `trial`: one `sim.run_plan_trials` trial, as the Monte Carlo runs it.
@@ -26,7 +28,9 @@ outputs are equal; one untimed call per tree, on the inputs of the seed
 after the last pair's, runs first and fills the lazy caches.  It prints
 each pair, then the median time of each tree, the median of the per-pair
 ratios this/other and the number of pairs this tree won; `--json` prints
-the same as one JSON object.  pytest does not collect this file.
+the same as one JSON object.  Each tree's plans come from its own
+`TestPlan`: one that takes the signature, not t, is handed
+`codec.build_signature(t, r)`.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import dataclasses
 import gc
 import importlib
 import importlib.util
+import inspect
 import json
 import statistics
 import sys
@@ -82,6 +87,15 @@ class Point:
 
     def adjacency(self, tree: dict, seed: int) -> np.ndarray:
         return tree["graphs"].sample_graph(self.N, self.M, self.r, self.profile, seed).right_adj
+
+
+def make_plan(tree: dict, point: Point, adj: np.ndarray):
+    """The tree's TestPlan of the point's capability on this adjacency."""
+    codec = tree["codec"]
+    graph = tree["graphs"].BipartiteGraph(point.N, point.M, point.r, adj)
+    if "signature" in inspect.signature(codec.TestPlan).parameters:
+        return codec.TestPlan(graph, codec.build_signature(point.t, point.r))
+    return codec.TestPlan(graph, point.t)
 
 
 def _graph_arrays(g) -> list:
@@ -135,14 +149,18 @@ def prepare(layer: str, point: Point, trees: dict, seed: int, weight: int) -> di
 
             calls[k] = run
         return calls
-    if layer == "peel_decode":
+    if layer in ("encode", "peel_decode"):
         adj = point.adjacency(this, seed)
         items = this["sim"].sample_support(point.N, point.K / point.N, seed).items
         calls = {}
         for k, tr in trees.items():
             codec = tr["codec"]
-            plan = codec.TestPlan(tr["graphs"].BipartiteGraph(*sizes, adj), codec.build_signature(point.t, point.r))
-            results = codec.encode(plan, codec.SupportVector(N=point.N, items=items))
+            plan = make_plan(tr, point, adj)
+            support = codec.SupportVector(N=point.N, items=items)
+            if layer == "encode":
+                calls[k] = lambda codec=codec, plan=plan, support=support: codec.encode(plan, support).values
+                continue
+            results = codec.encode(plan, support)
             calls[k] = lambda codec=codec, plan=plan, results=results: codec.peel_decode(plan, results).to_dict()
         return calls
     if layer == "trial":
@@ -176,7 +194,7 @@ def timed(call) -> tuple[float, object]:
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("other_src", type=Path, help="the src directory of the other tree")
-    ap.add_argument("layer", choices=["sample_graph", "BipartiteGraph", "syndrome_decode", "peel_decode", "trial"])
+    ap.add_argument("layer", choices=["sample_graph", "BipartiteGraph", "syndrome_decode", "encode", "peel_decode", "trial"])
     ap.add_argument("--point", choices=sorted(POINTS), default="dense")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)

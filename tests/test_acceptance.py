@@ -122,7 +122,7 @@ def _row_permutation(ours: np.ndarray, theirs: np.ndarray) -> np.ndarray:
 
 def test_criterion_2_worked_example(report):
     graph = BipartiteGraph(N=14, M=3, r=7, right_adj=EXAMPLE_ADJ)
-    plan = TestPlan(graph, build_signature(1, 7))
+    plan = TestPlan(graph, 1)
     support = SupportVector(N=14, items=np.array([3, 7, 10]))  # files call them 4, 8, 11
     results = encode(plan, support)
     perm = _row_permutation(plan.signature.matrix, ALT_SIGNATURE)
@@ -193,7 +193,6 @@ def test_criterion_5_recursion_vs_empirical(report):
     des = optimize_design(2, 2)
     N, K, t = 10**5, 500, 2
     plan = make_plan(N, K, des, margin=1.5)
-    sig = build_signature(t, plan.r)
     emp = np.zeros(5)
     mean = np.zeros(5)
     var = np.zeros(5)
@@ -201,7 +200,7 @@ def test_criterion_5_recursion_vs_empirical(report):
         gs, ss = np.random.SeedSequence(entropy=902, spawn_key=(i,)).spawn(2)
         graph = sample_graph(N, plan.M, plan.r, des.profile, gs)
         support = sample_support(N, K / N, ss)
-        tp = TestPlan(graph, sig)
+        tp = TestPlan(graph, t)
         out = peel_decode(tp, encode(tp, support))
         got = np.cumsum(out.identified_per_iteration)
         Ki = support.items.size
@@ -252,7 +251,7 @@ def test_criterion_7_exhaustive_oracle(report):
             adj = np.stack([np.sort(rng.choice(N, size=r, replace=False)) for _ in range(M)])
             if np.unique(adj).size == N:  # every item observed by some pool
                 break
-        plan = TestPlan(BipartiteGraph(N=N, M=M, r=r, right_adj=adj), build_signature(t, r))
+        plan = TestPlan(BipartiteGraph(N=N, M=M, r=r, right_adj=adj), t)
         truth = np.flatnonzero(rng.random(N) < rng.uniform(0.08, 0.35))
         y = encode(plan, SupportVector(N=N, items=truth))
         out = peel_decode(plan, y)
@@ -293,7 +292,7 @@ def test_criterion_8_scaling(report):
         N = 2**exp
         plan = make_plan(N, 100, des, margin=1.6)
         graph = sample_graph(N, plan.M, plan.r, des.profile, 7)
-        tp = TestPlan(graph, build_signature(1, plan.r))
+        tp = TestPlan(graph, 1)
         cases.append((tp, sample_support(N, 100 / N, 9)))
     # time the sizes round-robin, so that a drift in machine speed hits all
     # three alike instead of one size's whole batch

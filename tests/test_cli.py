@@ -21,7 +21,7 @@ EXAMPLE_ADJ = [
 
 def example_plan():
     graph = BipartiteGraph(N=14, M=3, r=7, right_adj=np.array(EXAMPLE_ADJ))
-    return codec.TestPlan(graph, codec.build_signature(1, 7))
+    return codec.TestPlan(graph, 1)
 
 
 def write(path, obj):
@@ -81,7 +81,7 @@ def test_worked_example_via_cli(tmp_path):
 
 def test_decode_reports_stall_with_exit_1(tmp_path):
     graph = BipartiteGraph(N=4, M=2, r=3, right_adj=np.array([[0, 1, 2], [1, 2, 3]]))
-    plan = codec.TestPlan(graph, codec.build_signature(1, 3))
+    plan = codec.TestPlan(graph, 1)
     results = codec.encode(plan, codec.SupportVector(N=4, items=np.array([1, 2])))
     plan_file = write(tmp_path / "plan.json", plan.to_dict())
     results_file = write(tmp_path / "results.json", results.to_dict())
@@ -236,6 +236,7 @@ def test_encode_dimension_mismatch_exits_1(tmp_path, capsys):
     plan_file = write(tmp_path / "plan.json", example_plan().to_dict())
     support_file = write(tmp_path / "support.json", {"version": 1, "N": 20, "defective": [4]})
     assert cli.main(["encode", "--plan", plan_file, "--support", support_file]) == 1
+    assert capsys.readouterr().err == "error: support is over N=20, plan over N=14\n"
 
 
 def test_design_command_output(tmp_path):

@@ -42,7 +42,7 @@ ALT_BLOCKS = np.array([[1, 0, 1, 0], [2, 0, 2, 1], [3, 1, 3, 2]])
 
 def example_plan() -> TestPlan:
     g = BipartiteGraph(14, 3, 7, EXAMPLE_ADJ)
-    return TestPlan(g, build_signature(1, 7), seed=0)
+    return TestPlan(g, 1, seed=0)
 
 
 def row_permutation(ours: np.ndarray, theirs: np.ndarray) -> list[int]:
@@ -61,6 +61,26 @@ def test_signature_shape_and_counting_row():
     assert (sig.s, sig.r, sig.q) == (4, 7, 3)
     assert (sig.matrix[0] == 1).all()
     assert sig.matrix.shape == (4, 7)
+
+
+def test_signature_built_once_per_t_and_r():
+    assert build_signature(2, 9) is build_signature(2, 9)
+    assert build_signature(2, 9) is not build_signature(1, 9)
+
+
+def test_shared_signature_is_read_only():
+    sig = build_signature(1, 7)
+    with pytest.raises(ValueError, match="read-only"):
+        sig.matrix[0, 0] = 5
+    with pytest.raises(AttributeError):
+        sig.t = 2
+    assert (sig.matrix[0] == 1).all()
+
+
+def test_plan_signature_is_the_shared_one():
+    plan = example_plan()
+    assert plan.signature is build_signature(1, plan.r)
+    assert TestPlan(plan.graph, 2).signature is build_signature(2, 7)
 
 
 def test_example_encode_blocks_match_up_to_row_convention():
@@ -89,7 +109,7 @@ def test_encode_matches_materialized_matrix():
     rng = np.random.default_rng(21)
     p = profile_from_lambda(3, [0.0, 0.3, 0.7])
     g = sample_graph(40, 12, 9, p, seed=5)
-    plan = TestPlan(g, build_signature(2, 9))
+    plan = TestPlan(g, 2)
     s = plan.signature.s
     A = np.zeros((g.M * s, g.N), dtype=np.int64)
     for n in range(g.M):
@@ -120,7 +140,7 @@ def test_decode_conservation_invariant():
     # residuals to the oracle's by requiring equal syndrome decoder calls
     p = profile_from_lambda(3, [0.0, 0.2, 0.8])
     g = sample_graph(60, 18, 9, p, seed=13)
-    plan = TestPlan(g, build_signature(2, 9))
+    plan = TestPlan(g, 2)
     support = SupportVector(60, np.array([2, 7, 19, 33, 41, 55]))
     original = encode(plan, support)
 
@@ -147,19 +167,19 @@ def test_syndrome_decode_called_positionally_with_int_weight(monkeypatch):
     monkeypatch.setattr(codec, "syndrome_decode", spy)
     p = profile_from_lambda(3, [0.0, 0.2, 0.8])
     g = sample_graph(60, 18, 9, p, seed=13)
-    plan = TestPlan(g, build_signature(3, 9))
+    plan = TestPlan(g, 3)
     support = SupportVector(60, np.array([2, 7, 19, 33, 41, 55]))
     peel_decode(plan, encode(plan, support))
     assert len({args[2] for args, _ in calls}) > 1
     for args, kwargs in calls:
         assert len(args) == 3 and not kwargs
         assert type(args[2]) is int
-        assert len(args[1]) == plan.t and all(type(b) is int for b in args[1])
+        assert len(args[1]) == plan.signature.t and all(type(b) is int for b in args[1])
 
 
 def test_stall_reported():
     g = BipartiteGraph(4, 2, 3, np.array([[0, 1, 2], [1, 2, 3]]))
-    plan = TestPlan(g, build_signature(1, 3))
+    plan = TestPlan(g, 1)
     results = encode(plan, SupportVector(4, np.array([1, 2])))
     out = peel_decode(plan, results)
     assert out.stalled
@@ -174,7 +194,7 @@ def test_decode_failure_requeued_then_left_open_by_residual_check():
     # now 0 but whose parity residual is not: no support produces these
     # measurements, so the pool stays open and counts as failed
     g = BipartiteGraph(5, 2, 5, np.array([[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]))
-    plan = TestPlan(g, build_signature(1, 5))
+    plan = TestPlan(g, 1)
     results = encode(plan, SupportVector(5, np.array([0])))
     values = results.values.copy()
     values[:4] = [1, 1, 0, 1]  # count 1 with the syndrome of alpha^6: out of range
@@ -194,7 +214,7 @@ def test_decode_failure_requeued_then_left_open_by_residual_check():
 
 def test_unresolvable_failure_counted():
     g = BipartiteGraph(5, 1, 5, np.array([[0, 1, 2, 3, 4]]))
-    plan = TestPlan(g, build_signature(1, 5))
+    plan = TestPlan(g, 1)
     bad = TestResults(M=1, s=4, values=np.array([1, 1, 0, 1]))
     out = peel_decode(plan, bad)
     assert out.identified.size == 0
@@ -207,7 +227,7 @@ def test_impossible_measurements_not_recovered():
     # syndrome mod 2 but leaves integer residuals that no support produces
     p = profile_from_lambda(3, [0.0, 0.2, 0.8])
     g = sample_graph(60, 18, 9, p, seed=13)
-    plan = TestPlan(g, build_signature(2, 9))
+    plan = TestPlan(g, 2)
     results = encode(plan, SupportVector(60, np.array([2, 7, 19, 33, 41, 55])))
     assert peel_decode(plan, results).identified.tolist() == [2, 7, 19, 33, 41, 55]
     blocks = results.blocks.copy()
@@ -219,7 +239,7 @@ def test_impossible_measurements_not_recovered():
     # pool 0 holds items 0, 1 and 2, but reads 5 > r in its first S3 entry
     # (same parity); found through pools 1 and 2, they leave a residual 2
     # there, which a clamp of the entries at r would hide
-    plan = TestPlan(BipartiteGraph(6, 3, 3, [[0, 1, 2], [0, 3, 4], [1, 2, 5]]), build_signature(2, 3))
+    plan = TestPlan(BipartiteGraph(6, 3, 3, [[0, 1, 2], [0, 3, 4], [1, 2, 5]]), 2)
     blocks = encode(plan, SupportVector(6, np.array([0, 1, 2]))).blocks.copy()
     assert blocks[0, 3] == 3
     blocks[0, 3] = 5
@@ -251,7 +271,7 @@ def test_pool_reached_before_its_turn_is_retried():
     # 0 finds it; pool 1, whose residual it then empties, resolves at its
     # turn in the same pass, but was reached before it, so a second pass
     # retries it and finds it resolved.
-    plan = TestPlan(BipartiteGraph(6, 2, 5, [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]), build_signature(1, 5))
+    plan = TestPlan(BipartiteGraph(6, 2, 5, [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]), 1)
     results = encode(plan, SupportVector(6, np.array([1])))
     out = peel_decode(plan, results)
     assert out.identified.tolist() == [1] and out.resolved_nodes == 2
@@ -297,7 +317,7 @@ def test_plan_roundtrip_json():
     plan = example_plan()
     data = json.loads(json.dumps(plan.to_dict()))
     back = TestPlan.from_dict(data)
-    assert back.N == 14 and back.M == 3 and back.r == 7 and back.t == 1
+    assert back.N == 14 and back.M == 3 and back.r == 7 and back.signature.t == 1
     assert np.array_equal(back.graph.right_adj, plan.graph.right_adj)
     assert back.seed == 0
     assert back.M * back.signature.s == 12

@@ -13,7 +13,6 @@ derandomized, so every run tries the same inputs.
 """
 
 import copy
-import functools
 import json
 from unittest import mock
 
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 
 from oracles import peel_decode_stepwise, pgz_syndrome_decode
 from qgt import codec, design
-from qgt.codec import FormatError, SupportVector, TestPlan, TestResults, build_signature, encode, peel_decode
+from qgt.codec import FormatError, SupportVector, TestPlan, TestResults, encode, peel_decode
 from qgt.graphs import BipartiteGraph, profile_from_lambda, sample_graph
 from qgt.sim import sample_support
 
@@ -137,7 +136,7 @@ def plans_and_supports(draw, max_t=3):
         graph = sample_graph(N, M, r, profile, seed=draw(st.integers(0, 2**16)))
     except (ValueError, RuntimeError):
         assume(False)
-    plan = TestPlan(graph, build_signature(t, r))
+    plan = TestPlan(graph, t)
     items = draw(st.lists(st.integers(0, N - 1), unique=True, max_size=8))
     return plan, SupportVector(N, np.array(items, dtype=np.int64))
 
@@ -184,7 +183,7 @@ def _mutated_or_random_results(plan, support, data):
         values = np.array(data.draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)), dtype=np.int64)
     else:
         values = encode(plan, support).values.copy()
-        low = plan.r + plan.t + 2
+        low = plan.r + plan.signature.t + 2
         huge = st.integers(low, 2**62) | st.sampled_from([2**k for k in range(low.bit_length(), 63)])
         for i in data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4)):
             values[i] = data.draw(huge)
@@ -205,11 +204,6 @@ def test_decode_matches_the_pgz_oracle_decoder(case, data):
 WIDE_T, WIDE_R = 4, 2**15
 
 
-@functools.lru_cache(maxsize=None)
-def _wide_signature():
-    return build_signature(WIDE_T, WIDE_R)
-
-
 @st.composite
 def wide_plans_and_supports(draw):
     """Pools of r = 2^15 distinct items among slightly more, t = 4, q = 16."""
@@ -217,7 +211,7 @@ def wide_plans_and_supports(draw):
     M = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     adj = np.sort(np.array([rng.choice(N, size=WIDE_R, replace=False) for _ in range(M)]), axis=1)
-    plan = TestPlan(BipartiteGraph(N, M, WIDE_R, adj), _wide_signature())
+    plan = TestPlan(BipartiteGraph(N, M, WIDE_R, adj), WIDE_T)
     items = draw(st.lists(st.integers(0, N - 1), unique=True, max_size=6))
     return plan, SupportVector(N, np.array(items, dtype=np.int64))
 
@@ -250,9 +244,8 @@ def test_peeler_matches_the_stepwise_oracle_at_the_desk_points():
     for t, d, margin in [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)]:
         res = design.optimize_design(t, d)
         sizes = design.make_plan(N, K, res, margin=margin)
-        sig = build_signature(t, sizes.r)
         for seed in (1, 2, 3):
-            plan = TestPlan(sample_graph(N, sizes.M, sizes.r, res.profile, seed), sig)
+            plan = TestPlan(sample_graph(N, sizes.M, sizes.r, res.profile, seed), t)
             results = encode(plan, sample_support(N, K / N, seed))
             got = _decode_with_calls(peel_decode, plan, results)
             assert got[1] and got == _decode_with_calls(peel_decode_stepwise, plan, results)
