@@ -145,24 +145,13 @@ def cmd_simulate(args):
             raise UsageError(f"--m {args.m!r} is not a comma-separated list of integers") from None
         _require(all(m >= 1 for m in m_values), f"--m {args.m!r} must list positive budgets")
     seed = _pick_seed(args)
-    config = sim.TrialConfig(
-        N=args.N,
-        K=args.K,
-        t=args.t,
-        d=args.d,
-        trials=args.trials,
-        seed=seed,
-        margin=args.margin,
-        jobs=args.jobs,
-    )
-    lines = [sim.CSV_HEADER]
-    if m_values:
-        for report in sim.run_sweep(config, m_values):
-            lines.append(report.csv_row())
-    else:
-        _, report = sim.planner_report(config)
-        lines.append(report.csv_row())
-    _emit("\n".join(lines) + "\n", args.out)
+    try:
+        reports = sim.simulate(
+            args.N, args.K, args.t, args.d, args.trials, seed, margin=args.margin, jobs=args.jobs, m_values=m_values
+        )
+    except RuntimeError as exc:  # the sampler gives up on a graph too dense for its pools
+        raise UsageError(str(exc)) from None
+    _emit("\n".join([sim.CSV_HEADER] + [report.csv_row() for report in reports]) + "\n", args.out)
 
 
 def cmd_tables(args):
@@ -190,12 +179,10 @@ def cmd_compare(args):
         raise UsageError(f"--K-list {args.K_list!r} is not a comma-separated list of integers") from None
     for K in K_values:
         _require(1 < K < args.N, f"need 1 < K < N, got K={K} in --K-list, --N {args.N}")
-    designs = {t: design.optimize_design(t, COMPARE_DEFAULT_D[t]) for t in (1, 2, 3)}
-    lines = ["K,m_t1,m_t2,m_t3,m_regular,m_greedy"]
+    designs = {t: design.optimize_design(t, d) for t, d in COMPARE_DEFAULT_D.items()}
+    lines = [",".join(["K"] + [f"m_t{t}" for t in designs] + ["m_regular", "m_greedy"])]
     for K in K_values:
-        cols = [str(K)]
-        for t in (1, 2, 3):
-            cols.append(f"{design.proposed_tests(args.N, K, designs[t]):.6g}")
+        cols = [str(K)] + [f"{design.proposed_tests(args.N, K, res):.6g}" for res in designs.values()]
         cols.append(f"{design.baseline_tests('regular-graph', args.N, K):.6g}")
         cols.append(f"{design.baseline_tests('greedy', args.N, K):.6g}")
         lines.append(",".join(cols))
@@ -263,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("tables", help="profile constants over the tabulated d range")
-    sp.add_argument("--t", type=int, required=True, choices=[1, 2, 3])
+    sp.add_argument("--t", type=int, required=True, choices=list(TABLE_D_RANGE))
     common_out(sp)
     sp.set_defaults(func=cmd_tables)
 

@@ -90,9 +90,10 @@ def tests_per_pool(t: int, r: int) -> int:
     return t * field_degree(r) + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def build_signature(t: int, r: int) -> SignatureMatrix:
-    """The signature of capability t at pool size r; one shared object per (t, r)."""
+    """The signature of capability t at pool size r; one shared object per (t, r)
+    among the last four asked for, so a budget sweep does not keep them all."""
     pcm = build_parity_check(t, r)
     mat = np.vstack([np.ones((1, r), dtype=np.int64), pcm.rows.astype(np.int64)])
     mat.flags.writeable = False

@@ -10,7 +10,6 @@ import concurrent.futures
 import logging
 import math
 import os
-import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -18,23 +17,11 @@ import numpy as np
 
 from .bch import field_degree
 from .codec import SupportVector, TestPlan, encode, peel_decode, tests_per_pool
-from .design import DesignResult, Plan, make_plan, optimize_design, pool_size
+from .design import DesignResult, make_plan, optimize_design, pool_size
 from .gf2m import MAX_DEGREE
 from .graphs import sample_graph
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class TrialConfig:
-    N: int
-    K: int
-    t: int
-    d: int
-    trials: int
-    seed: int
-    margin: float = 1.0
-    jobs: int = 1
 
 
 @dataclass
@@ -50,8 +37,6 @@ class SimReport:
     ci_lo: float
     ci_hi: float
     full_recovery: float
-    mean_iterations: float
-    wall_time: float
 
     def csv_row(self) -> str:
         return (
@@ -83,29 +68,23 @@ def sample_support(N: int, gamma: float, seed) -> SupportVector:
     return SupportVector(N=N, items=np.flatnonzero(rng.random(N) < gamma))
 
 
-def _run_chunk(N, K, t, profile, M, r, seed, lo, hi):
-    gamma = K / N
-    defect_total = 0
-    unidentified = 0
-    false_pos = 0
-    full = 0
-    iters = 0
-    for i in range(lo, hi):
-        graph_seed, support_seed = np.random.SeedSequence(
-            entropy=seed, spawn_key=(i,)
-        ).spawn(2)
-        graph = sample_graph(N, M, r, profile, graph_seed)
-        support = sample_support(N, gamma, support_seed)
-        plan = TestPlan(graph, t)
-        out = peel_decode(plan, encode(plan, support))
-        truth = set(support.items.tolist())
-        found = set(out.identified.tolist())
-        defect_total += len(truth)
-        unidentified += len(truth - found)
-        false_pos += len(found - truth)
-        full += truth == found
-        iters += out.iterations
-    return defect_total, unidentified, false_pos, full, iters
+def _run_trial(N, K, t, profile, M, r, seed, i):
+    """Defectives, unidentified, false positives and full recovery (0/1) of trial i."""
+    graph_seed, support_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).spawn(2)
+    graph = sample_graph(N, M, r, profile, graph_seed)
+    support = sample_support(N, K / N, support_seed)
+    plan = TestPlan(graph, t)
+    found = set(peel_decode(plan, encode(plan, support)).identified.tolist())
+    truth = set(support.items.tolist())
+    return len(truth), len(truth - found), len(found - truth), int(truth == found)
+
+
+def _totals(rows) -> list[int]:
+    """Column sums of the per-trial tuples, read one at a time."""
+    totals = [0, 0, 0, 0]
+    for row in rows:
+        totals = [a + b for a, b in zip(totals, row)]
+    return totals
 
 
 def run_plan_trials(
@@ -119,23 +98,17 @@ def run_plan_trials(
     seed: int,
     jobs: int = 1,
 ) -> SimReport:
-    start = time.perf_counter()
-    bounds = np.linspace(0, trials, min(max(jobs, 1), trials) * 4 + 1 if jobs > 1 else 2).astype(int)
-    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    run = partial(_run_chunk, N, K, t, profile, M, r, seed)
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)  # the pool forks every worker up front
+    run = partial(_run_trial, N, K, t, profile, M, r, seed)
+    workers = min(jobs, trials, os.cpu_count() or 1)  # the pool forks every worker up front
     if workers > 1:
         # concurrent.futures loads its process module, and multiprocessing, on
-        # first access to this name, so a single-worker run never loads them
+        # first access to this name, so a single-worker run never loads them;
+        # about four tasks per worker, each a run of consecutive trials
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, *zip(*chunks)))
+            totals = _totals(pool.map(run, range(trials), chunksize=math.ceil(trials / (4 * workers))))
     else:
-        parts = [run(lo, hi) for lo, hi in chunks]
-    defect_total = sum(p[0] for p in parts)
-    unidentified = sum(p[1] for p in parts)
-    false_pos = sum(p[2] for p in parts)
-    full = sum(p[3] for p in parts)
-    iters = sum(p[4] for p in parts)
+        totals = _totals(map(run, range(trials)))
+    defect_total, unidentified, false_pos, full = totals
     lo, hi = wilson_interval(unidentified, max(defect_total, 1))
     return SimReport(
         m=M * tests_per_pool(t, r),
@@ -149,8 +122,6 @@ def run_plan_trials(
         ci_lo=lo,
         ci_hi=hi,
         full_recovery=full / max(trials, 1),
-        mean_iterations=iters / max(trials, 1),
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -177,28 +148,21 @@ def _invert_budget(m: int, N: int, t: int, design: DesignResult) -> tuple[int, i
     return int(M), int(r)
 
 
-def _trials_at(config: TrialConfig, design: DesignResult, M: int, r: int) -> SimReport:
-    return run_plan_trials(
-        config.N, config.K, config.t, design.profile, M, r, config.trials, config.seed, jobs=config.jobs
-    )
-
-
-def run_sweep(config: TrialConfig, m_values) -> list[SimReport]:
-    """One SimReport per realizable m; unrealizable entries are skipped with a
-    warning."""
-    design = optimize_design(config.t, config.d)
+def simulate(
+    N: int, K: int, t: int, d: int, trials: int, seed: int, *, margin: float = 1.0, jobs: int = 1, m_values=None
+) -> list[SimReport]:
+    """Trials at the planner's (M, r) for margin, or one report per realizable
+    budget in m_values; unrealizable budgets are skipped with a warning."""
+    design = optimize_design(t, d)
+    run = partial(run_plan_trials, N, K, t, design.profile, trials=trials, seed=seed, jobs=jobs)
+    if m_values is None:
+        plan = make_plan(N, K, design, margin=margin)
+        return [run(plan.M, plan.r)]
     reports = []
     for m in m_values:
-        inverted = _invert_budget(int(m), config.N, config.t, design)
-        if inverted is None:
-            log.warning("budget m=%s not realizable at N=%s, t=%s; skipped", m, config.N, config.t)
+        sizes = _invert_budget(int(m), N, t, design)
+        if sizes is None:
+            log.warning("budget m=%s not realizable at N=%s, t=%s; skipped", m, N, t)
             continue
-        reports.append(_trials_at(config, design, *inverted))
+        reports.append(run(*sizes))
     return reports
-
-
-def planner_report(config: TrialConfig) -> tuple[Plan, SimReport]:
-    """Run trials at the planner's operating point."""
-    design = optimize_design(config.t, config.d)
-    plan = make_plan(config.N, config.K, design, margin=config.margin)
-    return plan, _trials_at(config, design, plan.M, plan.r)

@@ -11,7 +11,9 @@ K = 100; 3 trials each, seeds 1-6) and at the dense point (N = 2^20,
 K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
 
 - the `DecodeOutcome.to_dict` of each run's first trial,
-- each run's report, with its wall time zeroed,
+- the `DecodeOutcome.iterations` of every trial of every run, in order,
+- each run's report, without the `wall_time` and `mean_iterations` fields
+  that older trees carry,
 - every `codec.syndrome_decode` call, as its weight and its t syndrome
   blocks in order,
 - every sampled graph, as its sizes, `right_adj`, `left_ptr` and its left
@@ -162,7 +164,7 @@ def _plan_round_trips() -> list:
 
 
 def main():
-    calls, outcomes = [], []
+    calls, outcomes, iterations = [], [], []
     graph_digest = hashlib.sha256()
     graph_count = 0
     real_decode, real_peel, real_sample = codec.syndrome_decode, sim.peel_decode, sim.sample_graph
@@ -174,6 +176,7 @@ def main():
     def spy_peel(plan, results):
         out = real_peel(plan, results)
         outcomes.append(out.to_dict())
+        iterations.append(out.iterations)
         return out
 
     def spy_sample(*args):
@@ -193,9 +196,15 @@ def main():
                 outcomes.clear()
                 rep = sim.run_plan_trials(N, K, t, res.profile, plan.M, plan.r, trials, seed)
                 first.append(outcomes[0])
-                reports.append(dataclasses.asdict(dataclasses.replace(rep, wall_time=0.0)))
+                old_fields = ("wall_time", "mean_iterations")
+                reports.append({k: v for k, v in dataclasses.asdict(rep).items() if k not in old_fields})
 
-    for name, data in [("first-trial outcomes", first), ("reports", reports), ("syndrome_decode calls", calls)]:
+    for name, data in [
+        ("first-trial outcomes", first),
+        ("trial iterations", iterations),
+        ("reports", reports),
+        ("syndrome_decode calls", calls),
+    ]:
         digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
         print(f"{name} ({len(data)}): {digest}")
     print(f"sampled graphs ({graph_count}): {graph_digest.hexdigest()}")

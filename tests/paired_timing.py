@@ -18,7 +18,9 @@ themselves.  LAYER is one of
   plan built from the same adjacency;
 - `peel_decode`: one `codec.peel_decode` of a sampled support's
   measurements, each tree on its own plan built from the same adjacency;
-- `trial`: one `sim.run_plan_trials` trial, as the Monte Carlo runs it.
+- `trial`: one `sim.run_plan_trials` trial, as the Monte Carlo runs it;
+  its report is compared without the `wall_time` and `mean_iterations`
+  fields that older trees carry.
 
 The points are `desk1`, `desk2`, `desk3` (N = 2^16, K = 100, t = 1/2/3 at
 the criterion-4 designs) and `dense` (N = 2^20, K = 10^4, t = 3, d = 2).
@@ -166,14 +168,18 @@ def prepare(layer: str, point: Point, trees: dict, seed: int, weight: int) -> di
     if layer == "trial":
         return {
             k: (
-                lambda sim=tr["sim"]: dataclasses.replace(
-                    sim.run_plan_trials(point.N, point.K, point.t, point.profile, point.M, point.r, 1, seed),
-                    wall_time=0.0,
-                ).__dict__
+                lambda sim=tr["sim"]: _report_fields(
+                    sim.run_plan_trials(point.N, point.K, point.t, point.profile, point.M, point.r, 1, seed)
+                )
             )
             for k, tr in trees.items()
         }
     raise ValueError(f"unknown layer {layer!r}")
+
+
+def _report_fields(report) -> dict:
+    """A report's fields, without the wall time and mean iterations that older trees' reports carry."""
+    return {k: v for k, v in dataclasses.asdict(report).items() if k not in ("wall_time", "mean_iterations")}
 
 
 def _same(a, b) -> bool:

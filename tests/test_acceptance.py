@@ -30,7 +30,7 @@ from qgt.design import (
     proposed_tests,
 )
 from qgt.graphs import BipartiteGraph, sample_graph
-from qgt.sim import TrialConfig, planner_report, run_plan_trials, sample_support
+from qgt.sim import run_plan_trials, sample_support, simulate
 
 # c and ell reference values per max degree d, t = 1 (d = 3..18)
 REF_T1_C = [1.222, 1.217, 1.208, 1.197, 1.186, 1.175, 1.164, 1.153,
@@ -176,9 +176,7 @@ def test_criterion_4_desk_scale_recovery(report):
     lines = []
     ok = True
     for t, (d, margin) in RECOVERY_SETS.items():
-        cfg = TrialConfig(N=2**16, K=100, t=t, d=d, trials=2000,
-                          seed=20260823, margin=margin)
-        _, rep = planner_report(cfg)
+        (rep,) = simulate(2**16, 100, t, d, trials=2000, seed=20260823, margin=margin)
         ok &= rep.full_recovery >= 0.99 and rep.error_prob <= 1e-3
         ok &= rep.false_positives == 0
         lines.append(f"t={t}: full={rep.full_recovery:.4f} err={rep.error_prob:.1e}")

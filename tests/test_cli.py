@@ -137,6 +137,7 @@ def test_out_of_regime_plan_exits_2(capsys):
         ["decode", "--plan", "plan.json", "--results", "results.json", "--max-iterations", "-3"],
         ["simulate", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--trials", "2", "--seed", "-3"],
         ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--M", "10", "--r", "90", "--seed", "-1"],
+        ["simulate", "--t", "1", "--d", "32", "--N", "300", "--K", "8", "--m", "100", "--trials", "2", "--seed", "1"],
     ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, capsys):

@@ -1,22 +1,13 @@
 import concurrent.futures
-import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
 
-from qgt import sim
-from qgt.design import optimize_design
-from qgt.sim import (
-    CSV_HEADER,
-    TrialConfig,
-    planner_report,
-    run_plan_trials,
-    run_sweep,
-    sample_support,
-    wilson_interval,
-)
+from qgt import codec, sim
+from qgt.design import make_plan, optimize_design
+from qgt.sim import CSV_HEADER, run_plan_trials, sample_support, simulate, wilson_interval
 
 
 def test_sample_support_contract():
@@ -52,11 +43,7 @@ def test_run_plan_trials_deterministic_across_jobs():
     profile = optimize_design(1, 3).profile
     a = run_plan_trials(2000, 20, 1, profile, 40, 150, 40, seed=11, jobs=1)
     b = run_plan_trials(2000, 20, 1, profile, 40, 150, 40, seed=11, jobs=2)
-    assert (a.unidentified, a.false_positives, a.full_recovery) == (
-        b.unidentified,
-        b.false_positives,
-        b.full_recovery,
-    )
+    assert a == b
     c = run_plan_trials(2000, 20, 1, profile, 40, 150, 40, seed=12)
     assert (a.unidentified, a.full_recovery) != (c.unidentified, c.full_recovery)
 
@@ -65,8 +52,8 @@ def test_run_plan_trials_deterministic_across_jobs():
     "jobs,trials,cpus,workers", [(64, 2, 8, 2), (64, 20, 3, 3), (2, 20, 8, 2), (64, 20, None, None)]
 )
 def test_worker_pool_bounded_by_chunks_and_cpus(monkeypatch, jobs, trials, cpus, workers):
-    # a stand-in executor records its size and runs the chunks in process,
-    # so no worker is ever started
+    # a stand-in executor records its size and chunk size and runs the trials
+    # in process, so no worker is ever started
     started = []
 
     class InlineExecutor:
@@ -79,16 +66,16 @@ def test_worker_pool_bounded_by_chunks_and_cpus(monkeypatch, jobs, trials, cpus,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
+            started.append(chunksize)
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
     profile = optimize_design(1, 3).profile
     got = run_plan_trials(2000, 20, 1, profile, 40, 150, trials, seed=11, jobs=jobs)
-    assert started == ([workers] if workers else [])
-    ref = run_plan_trials(2000, 20, 1, profile, 40, 150, trials, seed=11, jobs=1)
-    assert dataclasses.replace(got, wall_time=0.0) == dataclasses.replace(ref, wall_time=0.0)
+    assert started == ([workers, math.ceil(trials / (4 * workers))] if workers else [])
+    assert got == run_plan_trials(2000, 20, 1, profile, 40, 150, trials, seed=11, jobs=1)
 
 
 def test_report_bookkeeping():
@@ -98,34 +85,40 @@ def test_report_bookkeeping():
     assert rep.trials == 25
     assert rep.ci_lo <= rep.error_prob <= rep.ci_hi
     assert 0.0 <= rep.full_recovery <= 1.0
-    assert rep.mean_iterations >= 1.0
-    assert rep.wall_time > 0
+    assert rep == run_plan_trials(2000, 20, 1, profile, 40, 150, 25, seed=5)
     row = rep.csv_row()
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
 
 
 def test_sweep_skips_unrealizable_budgets(caplog):
-    cfg = TrialConfig(N=100, K=20, t=1, d=3, trials=30, seed=3)
     with caplog.at_level(logging.WARNING, logger="qgt.sim"):
-        reports = run_sweep(cfg, [2, 8, 9])
+        reports = simulate(100, 20, 1, 3, 30, 3, m_values=[2, 8, 9])
     assert len(reports) == 1
     assert sum("not realizable" in r.message for r in caplog.records) == 2
 
 
 def test_single_pool_cannot_resolve_many():
     # m just large enough for one pool covering every item; K defectives > t
-    cfg = TrialConfig(N=100, K=20, t=1, d=3, trials=30, seed=3)
-    (rep,) = run_sweep(cfg, [9])
+    (rep,) = simulate(100, 20, 1, 3, 30, 3, m_values=[9])
     assert rep.M == 1
     assert rep.r == 100
     assert rep.error_prob > 0.9
     assert rep.full_recovery == 0.0
 
 
-def test_planner_report_end_to_end_error_low():
-    cfg = TrialConfig(N=2**14, K=50, t=3, d=2, trials=150, seed=7, margin=1.5)
-    plan, rep = planner_report(cfg)
-    assert rep.M == plan.M and rep.r == plan.r
+def test_sweep_keeps_at_most_four_signatures():
+    # each budget has its own pool size r, so each asks for a new signature
+    codec.build_signature.cache_clear()
+    reports = simulate(2**16, 100, 3, 2, 1, 1, m_values=[1200, 1600, 2400, 3600, 5400])
+    assert len({rep.r for rep in reports}) == 5
+    assert codec.build_signature.cache_info().currsize <= 4
+
+
+def test_simulate_end_to_end_error_low():
+    N, K, t, d, margin = 2**14, 50, 3, 2, 1.5
+    (rep,) = simulate(N, K, t, d, 150, 7, margin=margin)
+    res = optimize_design(t, d)
+    plan = make_plan(N, K, res, margin=margin)
+    assert rep == run_plan_trials(N, K, t, res.profile, plan.M, plan.r, 150, 7)
     assert rep.error_prob < 1e-2
     assert rep.false_positives == 0
-
