@@ -16,6 +16,7 @@ import numpy as np
 MAX_PROFILE_DEGREE = 32
 MAX_SWAP_PASSES = 200
 CSR_CHUNK = 1 << 14
+SWAP_DRAW_SLACK = 16
 
 
 @dataclass
@@ -126,14 +127,20 @@ def _try_assemble(N, M, r, degs, rng):
     # start of the pass.  Row g is read once, as it stands when its turn
     # comes (an earlier swap of the pass may have changed it).  Every slot
     # whose item already sits at a lower slot of that reading is swapped, in
-    # ascending slot order, with the flat slot of one scalar
-    # rng.integers(M*r) draw.  The keys item*r + slot are distinct and sort
-    # by item, then slot, so a repeat is a sorted key whose item equals its
-    # predecessor's; item*r + slot < N*r fits in int64 as BipartiteGraph
-    # requires of N*M*r.  A row that no swap wrote into keeps its sorted copy
-    # and cannot repeat an item, so after the first pass only the rows a pass
-    # wrote (its bad rows and the rows of its drawn slots) are sorted again,
-    # all of them in one sort when that is every row.
+    # ascending slot order, with the flat slot of the next rng.integers(M*r)
+    # draw.  The keys item*r + slot are distinct and sort by item, then
+    # slot, so a repeat is a sorted key whose item equals its predecessor's;
+    # item*r + slot < N*r fits in int64 as BipartiteGraph requires of N*M*r.
+    # A pass takes its draws from batches of one rng.integers(M*r, size=n)
+    # call each, n being the repeated slots at its start plus
+    # SWAP_DRAW_SLACK, drawing another batch when one runs out.  At its end
+    # the generator is rewound to the pass's start and advanced by one call
+    # of the size it used, which leaves it where that many scalar draws
+    # would: batched draws equal successive scalar ones, values and state.
+    # A row that no swap wrote into keeps its sorted copy and cannot repeat
+    # an item, so after the first pass only the rows a pass wrote (its bad
+    # rows and the rows of its drawn slots) are sorted again, all of them in
+    # one sort when that is every row.
     stubs = np.repeat(np.arange(N, dtype=np.int64), degs)
     rng.shuffle(stubs)
     arr = stubs.reshape(M, r)
@@ -142,10 +149,14 @@ def _try_assemble(N, M, r, degs, rng):
     srt = sub = np.sort(arr, axis=1)
     rows = np.arange(M)
     for _ in range(MAX_SWAP_PASSES):
-        bad_rows = rows[(sub[:, 1:] == sub[:, :-1]).any(axis=1)]
+        repeats = sub[:, 1:] == sub[:, :-1]
+        bad_rows = rows[repeats.any(axis=1)]
         if bad_rows.size == 0:
             return srt
-        drawn = []
+        start = rng.bit_generator.state
+        batch = int(repeats.sum()) + SWAP_DRAW_SLACK
+        draws = rng.integers(total, size=batch).tolist()
+        used = 0
         for g in bad_rows.tolist():
             keys = arr[g] * r
             keys += slots
@@ -156,12 +167,16 @@ def _try_assemble(N, M, r, degs, rng):
             dup.sort()
             dup += g * r
             for i in dup.tolist():
-                k = int(rng.integers(total))
+                if used == len(draws):
+                    draws += rng.integers(total, size=batch).tolist()
+                k = draws[used]
+                used += 1
                 stubs[i], stubs[k] = stubs[k], stubs[i]
-                drawn.append(k)
+        rng.bit_generator.state = start
+        drawn = rng.integers(total, size=used)
         written = np.zeros(M, dtype=bool)
         written[bad_rows] = True
-        written[np.array(drawn, dtype=np.int64) // r] = True
+        written[drawn // r] = True
         rows = np.flatnonzero(written)
         if rows.size == M:
             srt = sub = np.sort(arr, axis=1)
@@ -171,16 +186,39 @@ def _try_assemble(N, M, r, degs, rng):
     return None
 
 
+def _draw_degrees(N: int, profile: DegreeProfile, rng) -> np.ndarray:
+    # The values and generator state of rng.choice(np.arange(1, d + 1),
+    # size=N, p=profile.node_probs) as int64: choice draws rng.random(N) and
+    # takes the right-side searchsorted of u in the normalized cdf, which is
+    # the count of cdf[:-1] entries at or below u.  The counts go into int8
+    # and u is freed before they are widened, which keeps the peak memory of
+    # a dense trial at that of choice.
+    cdf = profile.node_probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(N)
+    counts = np.zeros(N, dtype=np.int8)
+    for c in cdf[:-1].tolist():
+        counts += u >= c
+    del u
+    degs = counts.astype(np.int64)
+    degs += 1
+    return degs
+
+
 def sample_graph(N: int, M: int, r: int, profile: DegreeProfile, seed) -> BipartiteGraph:
     """Sample a pooling graph via the configuration model.
 
-    Left degrees are i.i.d. from profile.node_probs, repaired within [1, d] so
-    the stub total equals M * r; multi-edges are removed by bounded swap
-    passes, resampling with a derived seed if a pass budget runs out.  A pass
-    visits the rows that repeat an item at its start, in ascending order; in
-    each it swaps, in ascending slot order, every slot whose item sits at a
-    lower slot of the row as read at its turn, with the slot of one scalar
-    rng.integers(M * r) draw per swapped slot.  After the first pass only
+    Left degrees are i.i.d. from profile.node_probs, drawn as
+    rng.choice(np.arange(1, d + 1), size=N, p=profile.node_probs) would draw
+    them (same values, same generator state) from one rng.random(N) call,
+    then repaired within [1, d] so the stub total equals M * r; multi-edges
+    are removed by bounded swap passes, resampling with a derived seed if a
+    pass budget runs out.  A pass visits the rows that repeat an item at its
+    start, in ascending order; in each it swaps, in ascending slot order,
+    every slot whose item sits at a lower slot of the row as read at its
+    turn, with the slot of the next rng.integers(M * r) draw.  The draws
+    come in batches and the generator ends each pass exactly where one
+    scalar draw per swapped slot would leave it.  After the first pass only
     the rows the previous pass wrote into are sorted again.
     """
     if N < 1 or M < 1:
@@ -198,8 +236,7 @@ def sample_graph(N: int, M: int, r: int, profile: DegreeProfile, seed) -> Bipart
         root = np.random.SeedSequence(seed)
     for attempt_seq in root.spawn(8):
         rng = np.random.default_rng(attempt_seq)
-        degs = rng.choice(np.arange(1, profile.d + 1), size=N, p=profile.node_probs)
-        degs = _repair_degrees(degs.astype(np.int64), total, profile.d, rng)
+        degs = _repair_degrees(_draw_degrees(N, profile, rng), total, profile.d, rng)
         arr = _try_assemble(N, M, r, degs, rng)
         if arr is not None:
             return BipartiteGraph(N, M, r, arr)

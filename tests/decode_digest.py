@@ -22,6 +22,11 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
 - the same for the `graphs.sample_graph` graphs at the desk points that
   take the most swap passes among seeds 0-59: four passes and a final
   check, at t = 2 seed 38 and t = 3 seeds 1, 21 and 44;
+- the generator states of the `graphs.sample_graph` calls at those four
+  most-pass desk seeds and at the dense point's seeds 1-4 (their first
+  attempt): `bit_generator.state` as `graphs._try_assemble` receives it,
+  after the degree draw and repair, and as it leaves it, after the swap
+  passes, for every attempt in order;
 - a plan file's round trip at the three desk points (seed 1 each): the
   sampled plan's `to_dict` as JSON text, the `to_dict` of the plan that
   `TestPlan.from_dict` reads back from that text, and the `to_dict` of
@@ -103,6 +108,33 @@ def _most_pass_graphs() -> str:
         sizes = design.make_plan(N, K, res, margin=margin)
         _digest_graph(digest, graphs.sample_graph(N, sizes.M, sizes.r, res.profile, seed))
     return digest.hexdigest()
+
+
+def _sampler_states() -> list:
+    """The generator states around each `_try_assemble` of the most-pass
+    desk graphs and of the dense graphs at seeds 1-4."""
+    states = []
+    real_assemble = graphs._try_assemble
+
+    def spy_assemble(N, M, r, degs, rng):
+        states.append(rng.bit_generator.state)
+        out = real_assemble(N, M, r, degs, rng)
+        states.append(rng.bit_generator.state)
+        return out
+
+    desk_N, desk_K, desk_points, _, _ = DESK
+    dense_N, dense_K, (dense_point,), _, dense_seeds = DENSE
+    cases = [(desk_N, desk_K, desk_points[t - 1], seed) for t, seed in MOST_PASSES]
+    cases += [(dense_N, dense_K, dense_point, seed) for seed in dense_seeds]
+    graphs._try_assemble = spy_assemble
+    try:
+        for N, K, (t, d, margin), seed in cases:
+            res = design.optimize_design(t, d)
+            sizes = design.make_plan(N, K, res, margin=margin)
+            graphs.sample_graph(N, sizes.M, sizes.r, res.profile, seed)
+    finally:
+        graphs._try_assemble = real_assemble
+    return states
 
 
 def _syndrome_outcomes() -> list:
@@ -209,6 +241,9 @@ def main():
         print(f"{name} ({len(data)}): {digest}")
     print(f"sampled graphs ({graph_count}): {graph_digest.hexdigest()}")
     print(f"most-pass desk graphs ({len(MOST_PASSES)}): {_most_pass_graphs()}")
+    states = _sampler_states()
+    digest = hashlib.sha256(json.dumps(states, sort_keys=True).encode()).hexdigest()
+    print(f"sampler generator states ({len(states)}): {digest}")
 
     calls.clear()
     inconsistent = {"outcomes": _inconsistent_decodes(), "calls": calls}

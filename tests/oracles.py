@@ -5,7 +5,8 @@ peeling recursion, which tests check against the finite-pool-size recursion
 and against decoder runs; the full load scan, which checks the search in
 `design.optimize_design`; the slot-by-slot dict walk and the assembly
 that sorts every row at every pass, which check the multi-edge swap passes
-of `graphs._try_assemble`; the bitwise syndrome, the decoding table built
+of `graphs._try_assemble`; the degree draw by `rng.choice`, which checks
+`graphs._draw_degrees`; the bitwise syndrome, the decoding table built
 by enumerating every in-range position set, the all-elimination PGZ
 decoder, with its own root sweep, and the decoder that finds the roots of
 weights 2 and 3 by the root sweep, which check the BCH decoder; and the
@@ -215,6 +216,12 @@ def assemble_full_resort(N, M, r, degs, rng):
                 k = int(rng.integers(total))
                 stubs[i], stubs[k] = stubs[k], stubs[i]
     return None
+
+
+def draw_degrees_by_choice(N, profile, rng):
+    """graphs._draw_degrees by rng.choice over the degrees 1..d: the same
+    int64 values and the same generator state."""
+    return rng.choice(np.arange(1, profile.d + 1), size=N, p=profile.node_probs).astype(np.int64)
 
 
 def alpha_pow(field: FieldContext, e: int) -> int:

@@ -1,13 +1,15 @@
 import copy
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_by_dict, assemble_full_resort
+from oracles import assemble_by_dict, assemble_full_resort, draw_degrees_by_choice
 from qgt import graphs
-from qgt.design import make_plan, optimize_design
+from qgt.design import Infeasible, make_plan, optimize_design
 from qgt.graphs import BipartiteGraph, profile_from_lambda, sample_graph
 
 EXAMPLE_ADJ = np.array(
@@ -138,6 +140,38 @@ def test_bipartite_graph_edge_sizes():
         BipartiteGraph(6, 1, 0, np.zeros((0, 0)))
 
 
+def test_bipartite_graph_key_overflow():
+    # 2^62 items x 3 entries does not fit the int64 keys item*n + slot; the
+    # guard raises before any array of N entries is allocated
+    with pytest.raises(ValueError, match="overflow the int64 sort keys"):
+        BipartiteGraph(2**62, 1, 3, [[0, 1, 2]])
+
+
+def _feasible_profiles():
+    for t in range(1, 5):
+        for d in range(2, 33):
+            try:
+                yield optimize_design(t, d).profile
+            except Infeasible:
+                pass
+
+
+def test_degree_draw_matches_choice():
+    # every design profile, the one-degree profile, and a hand profile with
+    # zero entries first, inside and last, whose cdf has flat steps
+    profiles = list(_feasible_profiles())
+    profiles += [profile_from_lambda(1, [1.0]), profile_from_lambda(6, [0.0, 0.3, 0.0, 0.0, 0.7, 0.0])]
+    for i, p in enumerate(profiles):
+        rng = np.random.default_rng(i)
+        want_rng = copy.deepcopy(rng)
+        got = graphs._draw_degrees(5000, p, rng)
+        want = draw_degrees_by_choice(5000, p, want_rng)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), (p.d, p.lam)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+    assert len(profiles) == 4 * 31 - 1 + 2  # only (t, d) = (1, 2) has no design
+
+
 def test_sample_graph_basic_shape():
     p = profile_from_lambda(3, [0.0, 0.0, 1.0])
     g = sample_graph(21, 9, 7, p, seed=1)
@@ -190,20 +224,25 @@ def test_sample_graph_infeasible_stub_totals():
         sample_graph(10, 2, 11, p, seed=0)  # r > N
 
 
-class _Recording:
-    """A generator that logs the draws of integers()."""
+class _DrawSpy:
+    """A generator that logs its state before each integers() call."""
 
     def __init__(self, rng):
         self.rng = rng
-        self.draws = []
+        self.bit_generator = rng.bit_generator
+        self.states = []
 
     def shuffle(self, x):
         self.rng.shuffle(x)
 
-    def integers(self, n):
-        k = self.rng.integers(n)
-        self.draws.append(int(k))
-        return k
+    def integers(self, n, size=None):
+        self.states.append(json.dumps(self.bit_generator.state))
+        return self.rng.integers(n, size=size)
+
+    def refills(self):
+        # a pass draws its first batch and, after the rewind, the draws it
+        # used from the same state; a refill draws from a state seen once
+        return sum(n == 1 for n in Counter(self.states).values())
 
 
 def _assert_same_assembly(N, M, r, degs, rng):
@@ -224,16 +263,20 @@ def _assert_same_assembly(N, M, r, degs, rng):
     return got
 
 
-@pytest.mark.parametrize("t,d,margin", [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)])
-def test_assembly_matches_dict_walk_at_desk_points(t, d, margin):
+def _desk_degrees(t, d, margin, seed):
+    """The sizes, degrees and generator of sample_graph's first attempt at a
+    desk point, right before assembly."""
     des = optimize_design(t, d)
     plan = make_plan(2**16, 100, des, margin)
     N, M, r = plan.N, plan.M, plan.r
-    # the degrees of sample_graph's first attempt at seed 5
-    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
-    degs = rng.choice(np.arange(1, d + 1), size=N, p=des.profile.node_probs)
-    degs = graphs._repair_degrees(degs.astype(np.int64), M * r, d, rng)
-    adj = _assert_same_assembly(N, M, r, degs, rng)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    degs = graphs._repair_degrees(draw_degrees_by_choice(N, des.profile, rng), M * r, d, rng)
+    return N, M, r, degs, rng
+
+
+@pytest.mark.parametrize("t,d,margin", [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)])
+def test_assembly_matches_dict_walk_at_desk_points(t, d, margin):
+    adj = _assert_same_assembly(*_desk_degrees(t, d, margin, 5))
     assert (np.diff(adj, axis=1) > 0).all()
 
 
@@ -256,12 +299,7 @@ class _SortSpy:
 def test_assembly_resorts_only_written_rows(seed, monkeypatch):
     # at desk t = 1 every row is written in pass 1, so pass 2 sorts them all
     # at once; pass 3 sorts only the few rows that pass 2 wrote
-    des = optimize_design(1, 3)
-    plan = make_plan(2**16, 100, des, 1.6)
-    N, M, r = plan.N, plan.M, plan.r
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    degs = rng.choice(np.arange(1, 4), size=N, p=des.profile.node_probs)
-    degs = graphs._repair_degrees(degs.astype(np.int64), M * r, 3, rng)
+    N, M, r, degs, rng = _desk_degrees(1, 3, 1.6, seed)
     spy = _SortSpy()
     monkeypatch.setattr(graphs, "np", spy)
     _assert_same_assembly(N, M, r, degs, rng)
@@ -274,17 +312,37 @@ def test_assembly_matches_dict_walk_in_a_single_row():
     # each of the 200 passes swaps exactly one slot and the budget runs out
     N, M, r, degs = 5, 1, 6, [2, 1, 1, 1, 1]
     assert _assert_same_assembly(N, M, r, degs, np.random.default_rng(11)) is None
-    rec = _Recording(np.random.default_rng(11))
-    assert graphs._try_assemble(N, M, r, np.array(degs), rec) is None
-    assert len(rec.draws) == graphs.MAX_SWAP_PASSES
+    rng = np.random.default_rng(11)
+    assert graphs._try_assemble(N, M, r, np.array(degs), rng) is None
+    # the swap slots are the first 200 draws after the shuffle, and the
+    # assembler consumed exactly those
+    ref = np.random.default_rng(11)
     row = np.repeat(np.arange(N), degs)
-    np.random.default_rng(11).shuffle(row)
+    ref.shuffle(row)
+    draws = ref.integers(M * r, size=graphs.MAX_SWAP_PASSES)
+    assert rng.bit_generator.state == ref.bit_generator.state
     later = 0
-    for k in rec.draws:
+    for k in draws.tolist():
         j = np.flatnonzero(row == 0)[1]
         later += k > j
         row[j], row[k] = row[k], row[j]
     assert later > 0  # some swaps land at a later slot of the row in hand
+
+
+@pytest.mark.parametrize("case", ["small-2", "small-3", "small-8", "desk2-1"])
+def test_assembly_refills_a_pass_batch(case, monkeypatch):
+    # with no slack a batch holds exactly the repeated slots at the start of
+    # its pass, so a pass whose swaps make a new repeat draws a second batch
+    monkeypatch.setattr(graphs, "SWAP_DRAW_SLACK", 0)
+    name, seed = case.split("-")
+    if name == "small":
+        N, M, r, degs, rng = 16, 6, 8, np.full(16, 3), np.random.default_rng(int(seed))
+    else:
+        N, M, r, degs, rng = _desk_degrees(2, 3, 1.8, int(seed))
+    spy = _DrawSpy(copy.deepcopy(rng))
+    got = graphs._try_assemble(N, M, r, degs, spy)
+    assert spy.refills() > 0
+    assert np.array_equal(_assert_same_assembly(N, M, r, degs, rng), got)
 
 
 @pytest.mark.parametrize("seed", range(6))
