@@ -42,7 +42,12 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
   (2, 1409), (3, 2221), (4, 2221), (3, 1000) and (3, 13);
 - the `design.optimize_design(t, d).to_dict()` of every t = 1..4 and
   d = 2..32, as json, with the `Infeasible` message in place of the one
-  pair that has none, (1, 2).
+  pair that has none, (1, 2);
+- at t = 4, lines marked `t=4`: the first four digests and the sampled
+  graphs of runs at the desk point (N = 2^16, K = 100, d = 2, margin 1.5;
+  3 trials each, seeds 1-6) and the dense point (N = 2^20, K = 10^4, d = 2,
+  margin 1.5; 1 trial, seeds 1-2), and the syndrome decoder outcomes, as
+  above, at the codes (t, r) = (4, 474), (4, 4095) and (4, 65535).
 
 A tree whose decoder still takes the t*q syndrome bits has them packed into
 blocks here, and a tree whose graph keeps the incidence as `left_node` and
@@ -72,6 +77,9 @@ DESK = (2**16, 100, [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)], 3, range(1, 7))
 DENSE = (2**20, 10**4, [(3, 2, 1.5)], 1, range(1, 5))
 MOST_PASSES = [(2, 38), (3, 1), (3, 21), (3, 44)]  # (t, seed) at the desk points
 CODES = [(3, 358), (2, 1409), (3, 2221), (4, 2221), (3, 1000), (3, 13)]
+DESK4 = (2**16, 100, [(4, 2, 1.5)], 3, range(1, 7))
+DENSE4 = (2**20, 10**4, [(4, 2, 1.5)], 1, range(1, 3))
+CODES4 = [(4, 474), (4, 4095), (4, 65535)]  # odd and even q: 9, 12 and 16
 
 
 def _blocks(pcm, syndrome) -> list[int]:
@@ -137,10 +145,10 @@ def _sampler_states() -> list:
     return states
 
 
-def _syndrome_outcomes() -> list:
+def _syndrome_outcomes(codes) -> list:
     """syndrome_decode at every weight on seeded blocks at each code."""
     out = []
-    for t, r in CODES:
+    for t, r in codes:
         pcm = bch.build_parity_check(t, r)
         exp, n = pcm.field.exp_list, pcm.n
         rng = np.random.default_rng(t * 10000 + r)
@@ -195,7 +203,8 @@ def _plan_round_trips() -> list:
     return out
 
 
-def main():
+def _trial_lines(point_sets, prefix="") -> list[str]:
+    """Digest lines of the seeded Monte Carlo runs at the given points."""
     calls, outcomes, iterations = [], [], []
     graph_digest = hashlib.sha256()
     graph_count = 0
@@ -220,17 +229,21 @@ def main():
 
     codec.syndrome_decode, sim.peel_decode, sim.sample_graph = spy_decode, spy_peel, spy_sample
     first, reports = [], []
-    for N, K, points, trials, seeds in (DESK, DENSE):
-        for t, d, margin in points:
-            res = design.optimize_design(t, d)
-            plan = design.make_plan(N, K, res, margin=margin)
-            for seed in seeds:
-                outcomes.clear()
-                rep = sim.run_plan_trials(N, K, t, res.profile, plan.M, plan.r, trials, seed)
-                first.append(outcomes[0])
-                old_fields = ("wall_time", "mean_iterations")
-                reports.append({k: v for k, v in dataclasses.asdict(rep).items() if k not in old_fields})
+    try:
+        for N, K, points, trials, seeds in point_sets:
+            for t, d, margin in points:
+                res = design.optimize_design(t, d)
+                plan = design.make_plan(N, K, res, margin=margin)
+                for seed in seeds:
+                    outcomes.clear()
+                    rep = sim.run_plan_trials(N, K, t, res.profile, plan.M, plan.r, trials, seed)
+                    first.append(outcomes[0])
+                    old_fields = ("wall_time", "mean_iterations")
+                    reports.append({k: v for k, v in dataclasses.asdict(rep).items() if k not in old_fields})
+    finally:
+        codec.syndrome_decode, sim.peel_decode, sim.sample_graph = real_decode, real_peel, real_sample
 
+    lines = []
     for name, data in [
         ("first-trial outcomes", first),
         ("trial iterations", iterations),
@@ -238,25 +251,36 @@ def main():
         ("syndrome_decode calls", calls),
     ]:
         digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
-        print(f"{name} ({len(data)}): {digest}")
-    print(f"sampled graphs ({graph_count}): {graph_digest.hexdigest()}")
+        lines.append(f"{prefix}{name} ({len(data)}): {digest}")
+    lines.append(f"{prefix}sampled graphs ({graph_count}): {graph_digest.hexdigest()}")
+    return lines
+
+
+def main():
+    for line in _trial_lines((DESK, DENSE)):
+        print(line)
     print(f"most-pass desk graphs ({len(MOST_PASSES)}): {_most_pass_graphs()}")
     states = _sampler_states()
     digest = hashlib.sha256(json.dumps(states, sort_keys=True).encode()).hexdigest()
     print(f"sampler generator states ({len(states)}): {digest}")
 
-    calls.clear()
+    calls = []
+    real_decode = codec.syndrome_decode
+
+    def spy_decode(pcm, syndrome, w):
+        calls.append((w, _blocks(pcm, syndrome)))
+        return real_decode(pcm, syndrome, w)
+
+    codec.syndrome_decode = spy_decode
     inconsistent = {"outcomes": _inconsistent_decodes(), "calls": calls}
+    codec.syndrome_decode = real_decode
     digest = hashlib.sha256(json.dumps(inconsistent, sort_keys=True).encode()).hexdigest()
     print(f"inconsistent decodes ({len(inconsistent['outcomes'])}, {len(calls)} calls): {digest}")
 
     digest = hashlib.sha256(json.dumps(_plan_round_trips()).encode()).hexdigest()
     print(f"plan round trips ({len(DESK[2])}): {digest}")
 
-    outcomes = _syndrome_outcomes()
-    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-    failures = outcomes.count("failure")
-    print(f"syndrome_decode outcomes ({len(outcomes)}, {failures} failures): {digest}")
+    print(_outcome_line(_syndrome_outcomes(CODES)))
 
     designs = []
     for t in range(1, 5):
@@ -267,6 +291,15 @@ def main():
                 designs.append(str(exc))
     digest = hashlib.sha256(json.dumps(designs).encode()).hexdigest()
     print(f"designs ({len(designs)}): {digest}")
+
+    for line in _trial_lines((DESK4, DENSE4), prefix="t=4 "):
+        print(line)
+    print("t=4 " + _outcome_line(_syndrome_outcomes(CODES4)))
+
+
+def _outcome_line(outcomes) -> str:
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    return f"syndrome_decode outcomes ({len(outcomes)}, {outcomes.count('failure')} failures): {digest}"
 
 
 if __name__ == "__main__":

@@ -23,7 +23,9 @@ themselves.  LAYER is one of
   fields that older trees carry.
 
 The points are `desk1`, `desk2`, `desk3` (N = 2^16, K = 100, t = 1/2/3 at
-the criterion-4 designs) and `dense` (N = 2^20, K = 10^4, t = 3, d = 2).
+the criterion-4 designs), `dense` (N = 2^20, K = 10^4, t = 3, d = 2) and
+the t = 4 points `desk4` and `dense4` (the same N and K, d = 2, margin 1.5;
+M = 45, r = 2912 and M = 4419, r = 474).
 Pair i feeds both trees the inputs of seed `--seed` + i, times each tree's
 call once, alternating which tree runs first, and checks that the two
 outputs are equal; one untimed call per tree, on the inputs of the seed
@@ -61,6 +63,8 @@ POINTS = {
     "desk2": (2**16, 100, 2, 3, 1.8),
     "desk3": (2**16, 100, 3, 2, 1.5),
     "dense": (2**20, 10**4, 3, 2, 1.5),
+    "desk4": (2**16, 100, 4, 2, 1.5),
+    "dense4": (2**20, 10**4, 4, 2, 1.5),
 }
 SYNDROMES_PER_PAIR = 2000
 

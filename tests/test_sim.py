@@ -122,3 +122,14 @@ def test_simulate_end_to_end_error_low():
     assert rep == run_plan_trials(N, K, t, res.profile, plan.M, plan.r, 150, 7)
     assert rep.error_prob < 1e-2
     assert rep.false_positives == 0
+
+
+def test_t4_desk_scale_recovery():
+    # criterion 4's thresholds at t = 4, d = 2.  The margin was fixed on a
+    # separate calibration seed (777, 600 trials): 1.5 read full recovery
+    # 1.0 and error 0, while 1.4 read 0.9983 and 1.3e-3, above the bound.
+    (rep,) = simulate(2**16, 100, 4, 2, trials=500, seed=20261020, margin=1.5)
+    assert (rep.M, rep.r) == (45, 2912)
+    assert rep.full_recovery >= 0.99
+    assert rep.error_prob <= 1e-3
+    assert rep.false_positives == 0
