@@ -10,18 +10,19 @@ answer.
 
 Decoding recovers the error locators from the power-sum syndromes, the
 expected weight w being known in advance.  The single root of weight 1 is
-the syndrome itself.  At weights 2 and 3 a change of variable turns the
-locator polynomial into z^2 + z = c or Z^3 + Z = c (Berlekamp, Rumsey and
-Solomon, 1967), whose roots come from per-field tables built on first use
+the syndrome itself.  At weights 2, 3 and 4 Peterson's direct solution of
+Newton's identities gives the locator polynomial, and two closed-form root
+finders give its roots (Berlekamp, Rumsey and Solomon, 1967): a change of
+variable turns a quadratic into z^2 + z = c and a cubic into Z^3 + Z = c,
+whose roots come from per-field tables built on first use
 (`FieldContext.quadratic_roots` and `cubic_roots`, 4 and 8 MB at q = 20),
-or into a cube root.  At weight 4 Peterson-Gorenstein-Zierler elimination
-finds the locator and one sweep over the first r positions its roots,
-reading each term as a strided slice of one cyclic antilog table.  Every
-candidate position set is re-verified against the full syndrome before it
-is returned, which turns any miscorrection into an explicit failure.  Since
-the designed distance 2t + 1 leaves at most one in-range weight-w set per
-syndrome for w <= t, the result depends on the syndrome alone, not on how
-the roots were found.
+or into a cube root.  A quartic is depressed and split into two quadratics
+through one root of its resolvent cubic.  No step depends on r, so a decode
+costs the same at every code length.  Every candidate position set is
+re-verified against the full syndrome before it is returned, which turns
+any miscorrection into an explicit failure.  Since the designed distance
+2t + 1 leaves at most one in-range weight-w set per syndrome for w <= t,
+the result depends on the syndrome alone, not on how the roots were found.
 """
 
 from __future__ import annotations
@@ -76,12 +77,6 @@ class ParityCheckMatrix:
                 out[k * self.q + j] = (vals >> j) & 1
         return out
 
-    @cached_property
-    def cyclic_powers(self) -> np.ndarray:
-        """alpha^j for 0 <= j < n + t*r, so alpha^(L + e*i) for i < r is the
-        slice [L : L + e*r : e] for any log L < n and any e <= t."""
-        return np.resize(self.field.antilog, self.n + self.t * self.r)
-
 
 def field_degree(r: int) -> int:
     """Degree q = ceil(log2(r + 1)) of the smallest field with r nonzero elements."""
@@ -97,111 +92,106 @@ def build_parity_check(t: int, r: int) -> ParityCheckMatrix:
     return ParityCheckMatrix(make_field(field_degree(r)), t, r)
 
 
-def _pgz_sigma(field: FieldContext, S: list[int], w: int) -> list[int]:
-    """Solve the w x w power-sum system for sigma_1..sigma_w.
+def _quadratic(field: FieldContext, lb: int, lc: int) -> tuple[int, int]:
+    """Logs, below 2 (2^q - 1), of the two roots of X^2 + B X + C, given
+    lb = log B < 2^q - 1 and lc = log C.
 
-    Rows follow Newton's identities: sum_j sigma_j * S[k + w - j] = S[k + w]
-    for k = 1..w.  A singular system means no weight-w pattern exists.
+    X = B z turns it into z^2 + z = C / B^2, whose table root z gives the
+    roots B z and B (z + 1).  No table root means no two distinct nonzero
+    roots.
     """
-    A = [[S[k + w - j] for j in range(1, w + 1)] for k in range(1, w + 1)]
-    b = [S[k + w] for k in range(1, w + 1)]
-    for col in range(w):
-        piv = next((i for i in range(col, w) if A[i][col] != 0), None)
-        if piv is None:
-            raise DecodeFailure("singular locator system")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = field.inv(A[col][col])
-        A[col] = [field.mul(inv, a) for a in A[col]]
-        b[col] = field.mul(inv, b[col])
-        for i in range(w):
-            if i != col and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a ^ field.mul(f, p) for a, p in zip(A[i], A[col])]
-                b[i] ^= field.mul(f, b[col])
-    return b
-
-
-def _roots_sweep(pcm: ParityCheckMatrix, sigma: list[int], w: int) -> list[int]:
-    # Evaluate X^w + sigma_1 X^(w-1) + ... + sigma_w at X = alpha^i over the
-    # first r positions only; out-of-range roots are simply never found.
-    if sigma[-1] == 0:
-        raise DecodeFailure("zero locator root")
-    c, r, log = pcm.cyclic_powers, pcm.r, pcm.field.log_list
-    acc = c[: w * r : w] ^ sigma[-1]
-    for e, a in zip(range(w - 1, 0, -1), sigma):
-        if a:  # sigma_u alpha^(e i) = alpha^(log sigma_u + e i) with e = w - u
-            acc ^= c[log[a] : log[a] + e * r : e]
-    return (acc == 0).nonzero()[0].tolist()
-
-
-def _roots_quadratic(field: FieldContext, blocks: list[int]) -> list[int]:
-    """Logs of the two locators of a weight-2 syndrome, by table lookup.
-
-    The locator X^2 + S_1 X + (S_3 + S_1^3) / S_1 of X_1 + X_2 = S_1 becomes
-    z^2 + z = c with c = 1 + S_3 / S_1^3 under X = S_1 z, so a root z of that
-    gives the locators S_1 z and S_1 (z + 1).  S_1 = 0 or c = 0 means the
-    locators cannot be distinct and nonzero.
-    """
-    log, exp, n = field.log_list, field.exp_list, field.order
-    S1, S3 = blocks[0], blocks[1]
-    if not S1:
-        raise DecodeFailure("zero syndrome for a weight-2 pattern")
-    l1 = log[S1]
-    z = field.quadratic_roots[exp[(log[S3] - 3 * l1) % n] ^ 1 if S3 else 1]
+    z = field.quadratic_roots[field.exp_list[(lc - 2 * lb) % field.order]]
     if not z:
-        raise DecodeFailure("no two distinct nonzero locators")
-    return [(l1 + log[z]) % n, (l1 + log[z ^ 1]) % n]
+        raise DecodeFailure("no two distinct nonzero roots")
+    log = field.log_list
+    return lb + log[z], lb + log[z ^ 1]
 
 
-def _cube_roots(field: FieldContext, k: int) -> list[int]:
-    """The three distinct cube roots of k != 0.  They exist only when 3
-    divides 2^q - 1, that is for even q, and k = alpha^(3m) is a cube; they
-    are alpha^(m + j (2^q - 1) / 3) for j = 0, 1, 2."""
-    n, lk = field.order, field.log_list[k]
-    if n % 3 or lk % 3:
-        raise DecodeFailure("no three distinct cube roots")
-    return [field.exp_list[lk // 3 + j * n // 3] for j in range(3)]
+def _cubic(field: FieldContext, p: int, c: int) -> tuple[int, int, int]:
+    """The three roots of Y^3 + p Y + c, c != 0.
 
-
-def _roots_cubic(field: FieldContext, blocks: list[int]) -> list[int]:
-    """Logs of the three locators of a weight-3 syndrome, by table lookup.
-
-    Peterson's direct solution gives the locator X^3 + sigma_1 X^2 +
-    sigma_2 X + sigma_3: with S_2 = S_1^2 and S_4 = S_1^4 over GF(2^q),
-    Newton's identities give sigma_1 = S_1 and, with D = S_1^3 + S_3 =
-    (X_1 + X_2)(X_1 + X_3)(X_2 + X_3), sigma_2 = (S_1^2 S_3 + S_5) / D and
-    sigma_3 = D + S_1 sigma_2.  D = 0 means the locators cannot be distinct.
-    S_1 = 0 is valid: three distinct locators may sum to zero.
-
-    X = Y + S_1 turns the locator into Y^3 + p Y + D with p = S_1^2 +
-    sigma_2.  For p != 0, Y = sqrt(p) Z turns it into Z^3 + Z = D / p^(3/2),
-    whose roots, when it has three distinct ones, come from a table; for
-    p = 0, Y is a cube root of D.  A root Y = S_1 is the locator X = 0.
+    For p != 0, Y = sqrt(p) Z turns it into Z^3 + Z = c / p^(3/2), whose
+    roots, when it has three distinct ones, come from a table.  For p = 0
+    the roots are the cube roots of c = alpha^k: three distinct ones exist
+    only when 3 divides both 2^q - 1 (even q) and k, and they are
+    alpha^(k/3 + j (2^q - 1) / 3) for j = 0, 1, 2.
     """
     log, exp, n = field.log_list, field.exp_list, field.order
-    S1, S3 = blocks[0], blocks[1]
-    l1 = log[S1] if S1 else 0
-    D = S3 ^ exp[3 * l1 % n] if S1 else S3
-    if not D:
-        raise DecodeFailure("singular locator system")
-    num = blocks[2] ^ exp[(2 * l1 + log[S3]) % n] if S1 and S3 else blocks[2]
-    sigma2 = exp[log[num] - log[D] + n] if num else 0
-    p = exp[2 * l1] ^ sigma2 if S1 else sigma2
     if not p:
-        ys = _cube_roots(field, D)
-    else:
-        lp = log[p]
-        half = (lp + n * (lp & 1)) >> 1  # log sqrt(p): 2 * half = lp mod n
-        packed = field.cubic_roots[exp[(log[D] - 3 * half) % n]]
-        if not packed:
-            raise DecodeFailure("no three distinct locators")
-        q = field.q
-        ys = exp[half + (packed & n)], exp[half + (packed >> q & n)], exp[half + (packed >> 2 * q)]
-    if S1 in ys:
+        k = log[c]
+        if n % 3 or k % 3:
+            raise DecodeFailure("no three distinct cube roots")
+        return exp[k // 3], exp[k // 3 + n // 3], exp[k // 3 + 2 * n // 3]
+    lp = log[p]
+    half = (lp + n * (lp & 1)) >> 1  # log sqrt(p): 2 * half = lp mod n
+    packed = field.cubic_roots[exp[(log[c] - 3 * half) % n]]
+    if not packed:
+        raise DecodeFailure("no three distinct roots")
+    q = field.q
+    return exp[half + (packed & n)], exp[half + (packed >> q & n)], exp[half + (packed >> 2 * q)]
+
+
+def _quartic(field: FieldContext, blocks) -> list[int]:
+    """Logs of the four locators of a weight-4 syndrome.
+
+    Newton's identities, with S_2k = S_k^2, leave sigma_1 = S_1 and, for
+    D = S_1^3 + S_3, sigma_3 = D + S_1 sigma_2, where sigma_2 and sigma_4
+    solve D sigma_2 + S_1 sigma_4 = S_5 + S_1^2 S_3 and (S_5 + S_1^5)
+    sigma_2 + S_3 sigma_4 = S_7 + S_1 S_3^2 + S_1^4 D.  Its determinant is
+    Peterson's, nonzero whenever four distinct nonzero locators exist.
+
+    If sigma_1 != 0, X = a + 1/Z with a^2 = sigma_3 / sigma_1, the root of
+    the locator's derivative sigma_1 X^2 + sigma_3, removes the terms in X
+    and Z^3; the locator's value at a is then e = a^4 + sigma_2 a^2 +
+    sigma_4, and e = 0 makes a a repeated root.  If sigma_1 = 0, X = Z.
+    Either way Z^4 + b Z^2 + c Z + d remains, and it has four distinct
+    roots only with c != 0.  They are the roots of Z^2 + u Z + v and
+    Z^2 + u Z + w, where u is any root of the resolvent u^3 + b u + c (the
+    three pair sums of the roots) and v, w the roots of y^2 + (c/u) y + d.
+    """
+    log, exp, n = field.log_list, field.exp_list, field.order
+
+    def mul(x, y):
+        return exp[log[x] + log[y]] if x and y else 0
+
+    def div(x, y):
+        return exp[log[x] - log[y] + n] if x else 0
+
+    S1, S3, S5, S7 = blocks[:4]
+    S1_2 = mul(S1, S1)
+    S1_4 = mul(S1_2, S1_2)
+    D = S3 ^ mul(S1_2, S1)
+    E = S5 ^ mul(S1_4, S1)
+    R1 = S5 ^ mul(S1_2, S3)
+    R2 = S7 ^ mul(S1, mul(S3, S3)) ^ mul(S1_4, D)
+    det = mul(D, S3) ^ mul(S1, E)
+    if not det:
+        raise DecodeFailure("singular locator system")
+    sigma2 = div(mul(R1, S3) ^ mul(S1, R2), det)
+    sigma4 = div(mul(D, R2) ^ mul(E, R1), det)
+    sigma3 = D ^ mul(S1, sigma2)
+    if not sigma4:
         raise DecodeFailure("zero locator root")
-    return [log[S1 ^ ys[0]], log[S1 ^ ys[1]], log[S1 ^ ys[2]]]
+    if S1:
+        a = 0
+        if sigma3:
+            la2 = (log[sigma3] - log[S1]) % n
+            a = exp[(la2 + n * (la2 & 1)) >> 1]  # 2 log a = la2 mod n
+        a2 = mul(a, a)
+        e = mul(a2, a2) ^ mul(sigma2, a2) ^ sigma4
+        if not e:
+            raise DecodeFailure("repeated locator root")
+        b, c, d = div(mul(S1, a) ^ sigma2, e), div(S1, e), div(1, e)
+    else:
+        a, b, c, d = 0, sigma2, sigma3, sigma4
+        if not c:
+            raise DecodeFailure("repeated locator root")
+    lu = log[_cubic(field, b, c)[0]]
+    lv, lw = _quadratic(field, (log[c] - lu) % n, log[d])
+    lz = _quadratic(field, lu, lv) + _quadratic(field, lu, lw)
+    if not S1:
+        return [l % n for l in lz]
+    return [log[a ^ exp[n - l % n]] for l in lz]
 
 
 def syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> list[int]:
@@ -233,26 +223,46 @@ def syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> lis
         return []
 
     f = pcm.field
+    log, exp, n = f.log_list, f.exp_list, f.order
+    S1 = blocks[0]
     if w == 1:
-        if blocks[0] == 0:
+        if not S1:
             raise DecodeFailure("zero syndrome for a weight-1 pattern")
-        positions = [f.log_list[blocks[0]]]
+        positions = [log[S1]]
     elif w == 2:
-        positions = _roots_quadratic(f, blocks)
+        # X = S1 z turns the locator X^2 + S1 X + (S3 + S1^3) / S1 into
+        # z^2 + z = 1 + S3 / S1^3; S1 = 0 or S3 = S1^3 means the locators
+        # cannot be distinct and nonzero
+        if not S1:
+            raise DecodeFailure("zero syndrome for a weight-2 pattern")
+        l1 = log[S1]
+        D = blocks[1] ^ exp[3 * l1 % n]
+        if not D:
+            raise DecodeFailure("no two distinct nonzero locators")
+        z1, z2 = _quadratic(f, l1, log[D] - l1)
+        positions = [z1 % n, z2 % n]
     elif w == 3:
-        positions = _roots_cubic(f, blocks)
+        # Peterson's direct solution: sigma_1 = S1 and, with D = S1^3 + S3 =
+        # (X1 + X2)(X1 + X3)(X2 + X3), sigma_2 = (S1^2 S3 + S5) / D; then
+        # X = Y + S1 gives Y^3 + p Y + D with p = S1^2 + sigma_2.  S1 = 0 is
+        # valid: three distinct locators may sum to zero.  A root Y = S1 is
+        # the locator X = 0.
+        S3 = blocks[1]
+        l1 = log[S1] if S1 else 0
+        D = S3 ^ exp[3 * l1 % n] if S1 else S3
+        if not D:
+            raise DecodeFailure("singular locator system")
+        num = blocks[2] ^ exp[(2 * l1 + log[S3]) % n] if S1 and S3 else blocks[2]
+        sigma2 = exp[log[num] - log[D] + n] if num else 0
+        ys = _cubic(f, exp[2 * l1] ^ sigma2 if S1 else sigma2, D)
+        if S1 in ys:
+            raise DecodeFailure("zero locator root")
+        positions = [log[S1 ^ ys[0]], log[S1 ^ ys[1]], log[S1 ^ ys[2]]]
     else:
-        # Power sums S_1..S_8; odd ones are measured, even ones follow by squaring.
-        S = [0] * (2 * w + 1)
-        for k in range(w):
-            S[2 * k + 1] = blocks[k]
-        for i in range(1, w + 1):
-            S[2 * i] = f.sqr(S[i])
-        positions = _roots_sweep(pcm, _pgz_sigma(f, S, w), w)
+        positions = _quartic(f, blocks)
 
     if len(set(positions)) != w or max(positions) >= pcm.r:
         raise DecodeFailure("locator roots not a weight-matched in-range set")
-    exp, n = f.exp_list, pcm.n
     e = 1
     for s in blocks:
         for p in positions:

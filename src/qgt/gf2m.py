@@ -1,15 +1,16 @@
 """Arithmetic over binary extension fields GF(2^q).
 
 Field elements are integers in [0, 2^q) whose bit i is the coefficient of
-alpha^i in the polynomial basis.  Multiplication and inversion go through
-log/antilog tables indexed by powers of the primitive element alpha, so every
-field operation is O(1) after an O(2^q) table build.  The degree is capped at
-20, which keeps the two tables around 8 MB.  Scalar operations read Python-int
-copies of the tables, built on first use, since indexing a list is several
-times cheaper than indexing an array for a single element.  The root tables
-of z^2 + z = c and Z^3 + Z = c, which the BCH decoder reads at weights 2 and
-3, are built on first use, 2^q entries each in a compact `array` (4 and 8 MB
-at q = 20).
+alpha^i in the polynomial basis.  Arithmetic goes through log/antilog tables
+indexed by powers of the primitive element alpha: a product of nonzero
+elements is exp_list[log_list[a] + log_list[b]], a quotient or an inverse a
+difference of logs with the order added, so every field operation is O(1)
+after an O(2^q) table build.  The degree is capped at 20, which keeps the
+two tables around 8 MB.  Scalar code reads Python-int copies of the tables,
+built on first use, since indexing a list is several times cheaper than
+indexing an array for a single element.  The root tables of z^2 + z = c
+and Z^3 + Z = c, which the BCH decoder reads at weights 2 to 4, are built
+on first use, 2^q entries each in a compact `array` (4 and 8 MB at q = 20).
 """
 
 from __future__ import annotations
@@ -128,22 +129,6 @@ class FieldContext:
         table = np.zeros(1 << q, dtype=np.int64)
         table[c[:, 0]] = logs[:, 0] | logs[:, 1] << q | logs[:, 2] << 2 * q
         return array("q", table.tobytes())
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        log = self.log_list
-        return self.exp_list[log[a] + log[b]]
-
-    def sqr(self, a: int) -> int:
-        if a == 0:
-            return 0
-        return self.exp_list[2 * self.log_list[a]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(2^q)")
-        return self.exp_list[self.order - self.log_list[a]]
 
 
 @lru_cache(maxsize=None)

@@ -213,7 +213,7 @@ def sample_graph(N: int, M: int, r: int, profile: DegreeProfile, seed) -> Bipart
     them (same values, same generator state) from one rng.random(N) call,
     then repaired within [1, d] so the stub total equals M * r; multi-edges
     are removed by bounded swap passes, resampling with a derived seed if a
-    pass budget runs out.  A pass visits the rows that repeat an item at its
+    pass budget runs out or a repaired degree exceeds M.  A pass visits the rows that repeat an item at its
     start, in ascending order; in each it swaps, in ascending slot order,
     every slot whose item sits at a lower slot of the row as read at its
     turn, with the slot of the next rng.integers(M * r) draw.  The draws
@@ -237,6 +237,8 @@ def sample_graph(N: int, M: int, r: int, profile: DegreeProfile, seed) -> Bipart
     for attempt_seq in root.spawn(8):
         rng = np.random.default_rng(attempt_seq)
         degs = _repair_degrees(_draw_degrees(N, profile, rng), total, profile.d, rng)
+        if degs.max() > M:
+            continue  # an item in more than M pools repeats in one, whatever the swaps
         arr = _try_assemble(N, M, r, degs, rng)
         if arr is not None:
             return BipartiteGraph(N, M, r, arr)

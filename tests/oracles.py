@@ -6,11 +6,16 @@ and against decoder runs; the full load scan, which checks the search in
 `design.optimize_design`; the slot-by-slot dict walk and the assembly
 that sorts every row at every pass, which check the multi-edge swap passes
 of `graphs._try_assemble`; the degree draw by `rng.choice`, which checks
-`graphs._draw_degrees`; the bitwise syndrome, the decoding table built
-by enumerating every in-range position set, the all-elimination PGZ
-decoder, with its own root sweep, and the decoder that finds the roots of
-weights 2 and 3 by the root sweep, which check the BCH decoder; and the
-peeling loop on numpy measurement blocks, which checks `codec.peel_decode`.
+`graphs._draw_degrees`; the field product, square and inverse (`mul`,
+`sqr`, `inv`), which the library no longer has, the bitwise syndrome, the
+decoding table built by enumerating every in-range position set, the
+decoder that finds the locator of every weight from 2 up by PGZ
+elimination (`_pgz_sigma`) and its roots by an exponent-table gather, and
+the decoder that finds the roots of every weight from 2 up by one O(r)
+sweep over the retained positions (`_roots_sweep`, on the `cyclic_powers`
+table), the locator of weight 4 by elimination, which check the BCH
+decoder; and the peeling loop on numpy measurement blocks, which checks
+`codec.peel_decode`.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from qgt import codec, design
-from qgt.bch import DecodeFailure, ParityCheckMatrix, _pgz_sigma, _roots_sweep
+from qgt.bch import DecodeFailure, ParityCheckMatrix
 from qgt.gf2m import FieldContext
 from qgt.graphs import MAX_SWAP_PASSES, DegreeProfile
 
@@ -224,6 +230,27 @@ def draw_degrees_by_choice(N, profile, rng):
     return rng.choice(np.arange(1, profile.d + 1), size=N, p=profile.node_probs).astype(np.int64)
 
 
+def mul(field: FieldContext, a: int, b: int) -> int:
+    """a * b in GF(2^q), the product the library's decoder once took as
+    FieldContext.mul."""
+    if a == 0 or b == 0:
+        return 0
+    log = field.log_list
+    return field.exp_list[log[a] + log[b]]
+
+
+def sqr(field: FieldContext, a: int) -> int:
+    if a == 0:
+        return 0
+    return field.exp_list[2 * field.log_list[a]]
+
+
+def inv(field: FieldContext, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("inverse of 0 in GF(2^q)")
+    return field.exp_list[field.order - field.log_list[a]]
+
+
 def alpha_pow(field: FieldContext, e: int) -> int:
     """alpha^e with the exponent reduced mod 2^q - 1."""
     return field.exp_list[e % field.order]
@@ -275,8 +302,54 @@ def pack_blocks(pcm: ParityCheckMatrix, bits) -> list[int]:
     return (bits.reshape(pcm.t, pcm.q) @ weights).tolist()
 
 
+def _pgz_sigma(field: FieldContext, S: list[int], w: int) -> list[int]:
+    """Solve the w x w power-sum system for sigma_1..sigma_w.
+
+    Rows follow Newton's identities: sum_j sigma_j * S[k + w - j] = S[k + w]
+    for k = 1..w.  A singular system means no weight-w pattern exists.
+    """
+    A = [[S[k + w - j] for j in range(1, w + 1)] for k in range(1, w + 1)]
+    b = [S[k + w] for k in range(1, w + 1)]
+    for col in range(w):
+        piv = next((i for i in range(col, w) if A[i][col] != 0), None)
+        if piv is None:
+            raise DecodeFailure("singular locator system")
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            b[col], b[piv] = b[piv], b[col]
+        a_inv = inv(field, A[col][col])
+        A[col] = [mul(field, a_inv, a) for a in A[col]]
+        b[col] = mul(field, a_inv, b[col])
+        for i in range(w):
+            if i != col and A[i][col] != 0:
+                f = A[i][col]
+                A[i] = [a ^ mul(field, f, p) for a, p in zip(A[i], A[col])]
+                b[i] ^= mul(field, f, b[col])
+    return b
+
+
+@lru_cache(maxsize=16)
+def cyclic_powers(pcm: ParityCheckMatrix) -> np.ndarray:
+    """alpha^j for 0 <= j < n + t*r, so alpha^(L + e*i) for i < r is the
+    slice [L : L + e*r : e] for any log L < n and any e <= t."""
+    return np.resize(pcm.field.antilog, pcm.n + pcm.t * pcm.r)
+
+
+def _roots_sweep(pcm: ParityCheckMatrix, sigma: list[int], w: int) -> list[int]:
+    # Evaluate X^w + sigma_1 X^(w-1) + ... + sigma_w at X = alpha^i over the
+    # first r positions only; out-of-range roots are simply never found.
+    if sigma[-1] == 0:
+        raise DecodeFailure("zero locator root")
+    c, r, log = cyclic_powers(pcm), pcm.r, pcm.field.log_list
+    acc = c[: w * r : w] ^ sigma[-1]
+    for e, a in zip(range(w - 1, 0, -1), sigma):
+        if a:  # sigma_u alpha^(e i) = alpha^(log sigma_u + e i) with e = w - u
+            acc ^= c[log[a] : log[a] + e * r : e]
+    return (acc == 0).nonzero()[0].tolist()
+
+
 def roots_by_take(pcm: ParityCheckMatrix, sigma: list[int], w: int) -> list[int]:
-    """bch._roots_sweep with the powers alpha^(e*i) indexed through an
+    """_roots_sweep with the powers alpha^(e*i) indexed through an
     exponent table and each middle term gathered by one wrapping take."""
     f = pcm.field
     if sigma[-1] == 0:
@@ -312,7 +385,7 @@ def pgz_syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) ->
     for k in range(w):
         S[2 * k + 1] = blocks[k]
     for i in range(1, w + 1):
-        S[2 * i] = f.sqr(S[i])
+        S[2 * i] = sqr(f, S[i])
 
     if w == 1:
         if S[1] == 0:
@@ -351,7 +424,7 @@ def _sigma_closed_form(field: FieldContext, blocks: list[int], w: int) -> list[i
 
 def sweep_syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> list[int]:
     """bch.syndrome_decode with the roots of every weight from 2 up found by
-    bch._roots_sweep over the first r positions, the locator of weights 2
+    _roots_sweep over the first r positions, the locator of weights 2
     and 3 by _sigma_closed_form; same contract and exceptions."""
     if len(blocks) != pcm.t or min(blocks) < 0 or max(blocks) > pcm.n:
         raise ValueError(f"need {pcm.t} syndrome blocks in [0, 2^{pcm.q}), got {list(blocks)}")
@@ -375,7 +448,7 @@ def sweep_syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) 
         for k in range(w):
             S[2 * k + 1] = blocks[k]
         for i in range(1, w + 1):
-            S[2 * i] = f.sqr(S[i])
+            S[2 * i] = sqr(f, S[i])
         positions = _roots_sweep(pcm, _pgz_sigma(f, S, w), w)
 
     if len(set(positions)) != w or max(positions) >= pcm.r:

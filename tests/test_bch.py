@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _roots_sweep,
     alpha_pow,
     decode_by_enumeration,
+    mul,
     pack_blocks,
     pgz_syndrome_decode,
     roots_by_take,
+    sqr,
     sweep_syndrome_decode,
     syndrome_of,
 )
@@ -76,7 +79,7 @@ def test_round_trip_small():
                     assert got == sorted(pos)
 
 
-@pytest.mark.parametrize("t,r", [(2, 5), (2, 7), (3, 7), (4, 7), (2, 13), (3, 13), (3, 15)])
+@pytest.mark.parametrize("t,r", [(2, 5), (2, 7), (3, 7), (4, 7), (2, 13), (3, 13), (3, 15), (4, 13), (4, 15)])
 def test_every_syndrome_matches_enumeration(t, r):
     # the decoder returns the unique in-range weight-w set with the syndrome
     # when there is one and fails otherwise, for every syndrome and w <= t
@@ -148,7 +151,7 @@ def _cube_root_triples(pcm, count, rng):
     out = []
     for _ in range(50 * count):
         s, y = (int(v) for v in rng.integers(1, n + 1, size=2))
-        ys = [y, f.mul(y, omega), f.mul(y, f.sqr(omega))]
+        ys = [y, mul(f, y, omega), mul(f, y, sqr(f, omega))]
         pos = sorted(f.log_list[s ^ v] if s ^ v else n for v in ys)
         if pos[-1] < pcm.r:
             out.append(pos)
@@ -157,15 +160,28 @@ def _cube_root_triples(pcm, count, rng):
     return out
 
 
+def _spy_cube_roots(monkeypatch) -> list:
+    """The constants c of the cubics Y^3 + c that bch._cubic is asked to
+    solve, that is, of its cube-root branch, from here on."""
+    calls = []
+    real_cubic = bch._cubic
+
+    def spy(field, p, c):
+        if not p:
+            calls.append(c)
+        return real_cubic(field, p, c)
+
+    monkeypatch.setattr(bch, "_cubic", spy)
+    return calls
+
+
 @pytest.mark.parametrize("t,r", [(3, 358), (2, 1409), (3, 2221), (4, 2221), (3, 1000), (3, 13), (4, 63)])
 def test_root_tables_match_sweep_oracle(t, r, monkeypatch):
     # same set or same failure as the root sweep at every weight, on random
     # blocks, on in-range sets, on sets with a locator beyond r, on blocks
     # with S_5 = S_1^5 (p = 0 at weight 3) and, at even q, on in-range
     # triples with p = 0, whose locators are cube roots shifted by sigma_1
-    cube_calls = []
-    real_cube_roots = bch._cube_roots
-    monkeypatch.setattr(bch, "_cube_roots", lambda f, k: cube_calls.append(k) or real_cube_roots(f, k))
+    cube_calls = _spy_cube_roots(monkeypatch)
     pcm = build_parity_check(t, r)
     f, n = pcm.field, pcm.n
     rng = np.random.default_rng(t * 10000 + r + 1)
@@ -202,13 +218,13 @@ def test_root_tables_are_lazy_and_exact(q):
     assert len(quad) == len(cubic) == size
     roots = {c: [] for c in range(size)}
     for z in range(size):
-        roots[field.sqr(z) ^ z].append(z)
+        roots[sqr(field, z) ^ z].append(z)
     for c in range(size):
         pair = [z for z in roots[c] if z > 1]
         assert quad[c] == (min(pair) if pair else 0)
     roots = {c: [] for c in range(size)}
     for z in range(size):
-        roots[field.mul(field.sqr(z), z) ^ z].append(z)
+        roots[mul(field, sqr(field, z), z) ^ z].append(z)
     for c in range(size):
         packed = cubic[c]
         logs = [packed >> (q * j) & n for j in range(3)]
@@ -223,7 +239,7 @@ def _locator(field, roots):
     coeffs = [1]
     for p in roots:
         x = alpha_pow(field, p)
-        coeffs = [a ^ field.mul(x, b) for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs = [a ^ mul(field, x, b) for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs[1:]
 
 
@@ -245,10 +261,10 @@ def test_roots_sweep_matches_take_oracle(t, r):
             sigmas.append(_locator(f, roots))
             sigmas.append(_locator(f, roots[: w - 2] + [r - 1, n - 1]))
         for sigma in sigmas:
-            assert _outcome(bch._roots_sweep, pcm, sigma, w) == _outcome(roots_by_take, pcm, sigma, w)
+            assert _outcome(_roots_sweep, pcm, sigma, w) == _outcome(roots_by_take, pcm, sigma, w)
         # the sweep finds exactly the in-range roots of a known locator
         roots = sorted(rng.choice(r, size=w, replace=False).tolist())
-        assert bch._roots_sweep(pcm, _locator(f, roots), w) == roots
+        assert _roots_sweep(pcm, _locator(f, roots), w) == roots
 
 
 @pytest.mark.parametrize("t,r", [(3, 358), (3, 2221), (4, 200)])
@@ -264,24 +280,96 @@ def test_weight_3_locators_summing_to_zero(t, r):
         assert syndrome_decode(pcm, blocks, 3) == pos == pgz_syndrome_decode(pcm, blocks, 3)
 
 
-def test_weights_up_to_3_bypass_elimination(monkeypatch):
-    def elimination(*args):
-        raise AssertionError("PGZ elimination reached")
+def _zero_sum_quartets(pcm, count, rng):
+    """Up to count in-range position sets of four whose locators sum to
+    zero, X4 = X1 + X2 + X3, so that S1 = 0."""
+    f = pcm.field
+    out = []
+    for _ in range(50 * count):
+        pos = rng.choice(pcm.r, size=3, replace=False).tolist()
+        x4 = alpha_pow(f, pos[0]) ^ alpha_pow(f, pos[1]) ^ alpha_pow(f, pos[2])
+        if x4 and f.log_list[x4] < pcm.r:
+            out.append(sorted(pos + [f.log_list[x4]]))
+            if len(out) == count:
+                break
+    return out
 
-    def sweep(*args):
-        raise AssertionError("root sweep reached")
 
-    monkeypatch.setattr(bch, "_pgz_sigma", elimination)
-    monkeypatch.setattr(bch, "_roots_sweep", sweep)
+def _cube_root_quartets(pcm, count, rng):
+    """Up to count in-range position sets of four whose depressed quartic
+    Z^4 + b Z^2 + c Z + d has b = 0, so that its resolvent is u^3 + c.
+
+    The roots Z = z, z + u, z + u w, z + u w^2, w a primitive cube root of
+    1 (even q only), have the pair sums u, u w, u w^2, the roots of u^3 +
+    u^3; every other set is the image X = a + 1/Z of such roots, whose
+    locator has sigma_1 != 0, and half the sets are X = Z, with sigma_1 = 0.
+    """
+    f, n = pcm.field, pcm.n
+    omega = alpha_pow(f, n // 3)
+    out = []
+    for i in range(50 * count):
+        z, u, a = (int(v) for v in rng.integers(1, n + 1, size=3))
+        zs = [z, z ^ u, z ^ mul(f, u, omega), z ^ mul(f, u, sqr(f, omega))]
+        if i % 2 == 0:
+            xs = zs
+        elif all(zs):
+            xs = [a ^ inv_z for inv_z in (alpha_pow(f, -f.log_list[v]) for v in zs)]
+        else:
+            continue
+        if all(xs) and max(f.log_list[x] for x in xs) < pcm.r:
+            out.append(sorted(f.log_list[x] for x in xs))
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize("r", [63, 255, 474, 1000, 4095, 5000])
+def test_weight_4_matches_oracles(r, monkeypatch):
+    # same set or same failure as elimination and as the sweep at every
+    # weight, on random blocks, on in-range sets of four, on sets with a
+    # locator beyond r, on sets whose locators sum to zero (S1 = 0) and, at
+    # even q, on sets whose resolvent is a pure cube (b = 0)
+    cube_calls = _spy_cube_roots(monkeypatch)
+    pcm = build_parity_check(4, r)
+    n = pcm.n
+    rng = np.random.default_rng(40000 + r)
+    zero_sum = _zero_sum_quartets(pcm, 30, rng)
+    pure_cube = _cube_root_quartets(pcm, 30, rng) if pcm.q % 2 == 0 else []
+    assert len(zero_sum) == 30 and len(pure_cube) == (30 if pcm.q % 2 == 0 else 0)
+    block_sets = [_blocks_of(pcm, pos) for pos in zero_sum + pure_cube]
+    for _ in range(40):
+        block_sets.append(rng.integers(0, n + 1, size=4).tolist())
+        pos = rng.choice(r, size=4, replace=False).tolist()
+        block_sets.append(_blocks_of(pcm, pos))
+        if r < n:
+            block_sets.append(_blocks_of(pcm, pos[:-1] + [int(rng.integers(r, n))]))
+    for blocks in block_sets:
+        for w in range(5):
+            got = _outcome(syndrome_decode, pcm, blocks, w)
+            assert got == _outcome(pgz_syndrome_decode, pcm, blocks, w)
+            assert got == _outcome(sweep_syndrome_decode, pcm, blocks, w)
+    for pos in zero_sum + pure_cube:
+        assert syndrome_decode(pcm, _blocks_of(pcm, pos), 4) == pos
+    if pure_cube:
+        cube_calls.clear()
+        for pos in pure_cube:
+            syndrome_decode(pcm, _blocks_of(pcm, pos), 4)
+        assert len(cube_calls) == len(pure_cube)
+
+
+def test_every_weight_bypasses_elimination():
+    # the elimination, the sweep and its table live only in the oracles, and
+    # the decoder multiplies on the log tables alone
+    assert not any(hasattr(bch, name) for name in ("_pgz_sigma", "_roots_sweep"))
+    assert not hasattr(bch.ParityCheckMatrix, "cyclic_powers")
+    assert not any(hasattr(FieldContext, name) for name in ("mul", "sqr", "inv"))
     pcm = build_parity_check(4, 200)
     rng = np.random.default_rng(4)
-    for w in (1, 2, 3):
+    for w in (1, 2, 3, 4):
         for _ in range(50):
             pos = sorted(rng.choice(200, size=w, replace=False).tolist())
             assert syndrome_decode(pcm, pack_blocks(pcm, syndrome_of(pcm, pos)), w) == pos
-            _outcome(syndrome_decode, pcm, pack_blocks(pcm, rng.integers(0, 2, size=pcm.num_rows)), w)
-    with pytest.raises(AssertionError, match="elimination reached"):
-        syndrome_decode(pcm, pack_blocks(pcm, syndrome_of(pcm, [3, 50, 97, 150])), 4)
+    assert syndrome_decode(pcm, pack_blocks(pcm, syndrome_of(pcm, [3, 50, 97, 150])), 4) == [3, 50, 97, 150]
 
 
 def test_shortened_r5_all_syndromes():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qgt
-from qgt import cli, codec
+from qgt import cli, codec, graphs
 from qgt.graphs import BipartiteGraph, profile_from_lambda
 
 EXAMPLE_ADJ = [
@@ -145,6 +145,20 @@ def test_bad_parameters_exit_2_with_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_gen_gives_up_before_swap_passes_that_cannot_succeed(monkeypatch, capsys):
+    # every attempt at seed 1 repairs some degree to 32, above M = 30, so no
+    # swap can remove its repeats; the sampler skips the passes and gives up
+    # with the line it gave after running them
+    monkeypatch.setattr(graphs, "_try_assemble", lambda *args: pytest.fail("swap passes reached"))
+    argv = ["gen", "--t", "1", "--d", "32", "--N", "300", "--K", "8", "--M", "30", "--r", "290", "--seed", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --M 30 --r 290: could not remove multi-edges; graph too dense for r distinct neighbors\n"
+    )
 
 
 def test_negative_seed_is_named_in_the_error(capsys):
