@@ -173,11 +173,9 @@ def _quartic(field: FieldContext, blocks) -> list[int]:
     if not sigma4:
         raise DecodeFailure("zero locator root")
     if S1:
-        a = 0
-        if sigma3:
-            la2 = (log[sigma3] - log[S1]) % n
-            a = exp[(la2 + n * (la2 & 1)) >> 1]  # 2 log a = la2 mod n
-        a2 = mul(a, a)
+        a2 = div(sigma3, S1)
+        la2 = log[a2]
+        a = exp[(la2 + n * (la2 & 1)) >> 1] if a2 else 0  # 2 log a = la2 mod n
         e = mul(a2, a2) ^ mul(sigma2, a2) ^ sigma4
         if not e:
             raise DecodeFailure("repeated locator root")
@@ -190,8 +188,8 @@ def _quartic(field: FieldContext, blocks) -> list[int]:
     lv, lw = _quadratic(field, (log[c] - lu) % n, log[d])
     lz = _quadratic(field, lu, lv) + _quadratic(field, lu, lw)
     if not S1:
-        return [l % n for l in lz]
-    return [log[a ^ exp[n - l % n]] for l in lz]
+        return [lg % n for lg in lz]
+    return [log[a ^ exp[n - lg % n]] for lg in lz]
 
 
 def syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> list[int]:

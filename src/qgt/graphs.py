@@ -237,7 +237,7 @@ def sample_graph(N: int, M: int, r: int, profile: DegreeProfile, seed) -> Bipart
     for attempt_seq in root.spawn(8):
         rng = np.random.default_rng(attempt_seq)
         degs = _repair_degrees(_draw_degrees(N, profile, rng), total, profile.d, rng)
-        if degs.max() > M:
+        if profile.d > M and degs.max() > M:
             continue  # an item in more than M pools repeats in one, whatever the swaps
         arr = _try_assemble(N, M, r, degs, rng)
         if arr is not None:

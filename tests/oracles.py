@@ -7,7 +7,7 @@ and against decoder runs; the full load scan, which checks the search in
 that sorts every row at every pass, which check the multi-edge swap passes
 of `graphs._try_assemble`; the degree draw by `rng.choice`, which checks
 `graphs._draw_degrees`; the field product, square and inverse (`mul`,
-`sqr`, `inv`), which the library no longer has, the bitwise syndrome, the
+`sqr`, `inv`), which the decoder works without, the bitwise syndrome, the
 decoding table built by enumerating every in-range position set, the
 decoder that finds the locator of every weight from 2 up by PGZ
 elimination (`_pgz_sigma`) and its roots by an exponent-table gather, and
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -231,8 +230,7 @@ def draw_degrees_by_choice(N, profile, rng):
 
 
 def mul(field: FieldContext, a: int, b: int) -> int:
-    """a * b in GF(2^q), the product the library's decoder once took as
-    FieldContext.mul."""
+    """a * b in GF(2^q) through the log tables, 0 included."""
     if a == 0 or b == 0:
         return 0
     log = field.log_list
@@ -328,7 +326,6 @@ def _pgz_sigma(field: FieldContext, S: list[int], w: int) -> list[int]:
     return b
 
 
-@lru_cache(maxsize=16)
 def cyclic_powers(pcm: ParityCheckMatrix) -> np.ndarray:
     """alpha^j for 0 <= j < n + t*r, so alpha^(L + e*i) for i < r is the
     slice [L : L + e*r : e] for any log L < n and any e <= t."""
@@ -425,7 +422,8 @@ def _sigma_closed_form(field: FieldContext, blocks: list[int], w: int) -> list[i
 def sweep_syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) -> list[int]:
     """bch.syndrome_decode with the roots of every weight from 2 up found by
     _roots_sweep over the first r positions, the locator of weights 2
-    and 3 by _sigma_closed_form; same contract and exceptions."""
+    and 3 by _sigma_closed_form and of weight 4 by _pgz_sigma; same
+    contract and exceptions."""
     if len(blocks) != pcm.t or min(blocks) < 0 or max(blocks) > pcm.n:
         raise ValueError(f"need {pcm.t} syndrome blocks in [0, 2^{pcm.q}), got {list(blocks)}")
     w = expected_weight

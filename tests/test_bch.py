@@ -300,9 +300,10 @@ def _cube_root_quartets(pcm, count, rng):
     Z^4 + b Z^2 + c Z + d has b = 0, so that its resolvent is u^3 + c.
 
     The roots Z = z, z + u, z + u w, z + u w^2, w a primitive cube root of
-    1 (even q only), have the pair sums u, u w, u w^2, the roots of u^3 +
-    u^3; every other set is the image X = a + 1/Z of such roots, whose
-    locator has sigma_1 != 0, and half the sets are X = Z, with sigma_1 = 0.
+    1 (even q only), have the pair sums u, u w, u w^2, the roots of
+    x^3 + u^3.  Half the sets are X = Z, whose locator has sigma_1 = 0, and
+    half X = a + 1/Z, whose locator has sigma_1 != 0 and depresses back to
+    Z through the same shift a.
     """
     f, n = pcm.field, pcm.n
     omega = alpha_pow(f, n // 3)
@@ -313,7 +314,7 @@ def _cube_root_quartets(pcm, count, rng):
         if i % 2 == 0:
             xs = zs
         elif all(zs):
-            xs = [a ^ inv_z for inv_z in (alpha_pow(f, -f.log_list[v]) for v in zs)]
+            xs = [a ^ alpha_pow(f, -f.log_list[v]) for v in zs]
         else:
             continue
         if all(xs) and max(f.log_list[x] for x in xs) < pcm.r:
@@ -369,7 +370,6 @@ def test_every_weight_bypasses_elimination():
         for _ in range(50):
             pos = sorted(rng.choice(200, size=w, replace=False).tolist())
             assert syndrome_decode(pcm, pack_blocks(pcm, syndrome_of(pcm, pos)), w) == pos
-    assert syndrome_decode(pcm, pack_blocks(pcm, syndrome_of(pcm, [3, 50, 97, 150])), 4) == [3, 50, 97, 150]
 
 
 def test_shortened_r5_all_syndromes():
