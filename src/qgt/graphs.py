@@ -213,10 +213,11 @@ def sample_graph(N: int, M: int, r: int, profile: DegreeProfile, seed) -> Bipart
     them (same values, same generator state) from one rng.random(N) call,
     then repaired within [1, d] so the stub total equals M * r; multi-edges
     are removed by bounded swap passes, resampling with a derived seed if a
-    pass budget runs out or a repaired degree exceeds M.  A pass visits the rows that repeat an item at its
-    start, in ascending order; in each it swaps, in ascending slot order,
-    every slot whose item sits at a lower slot of the row as read at its
-    turn, with the slot of the next rng.integers(M * r) draw.  The draws
+    pass budget runs out or a repaired degree exceeds M.  A pass visits the
+    rows that repeat an item at its start, in ascending order; in each it
+    swaps, in ascending slot order, every slot whose item sits at a lower
+    slot of the row as read at its turn, with the slot of the next
+    rng.integers(M * r) draw.  The draws
     come in batches and the generator ends each pass exactly where one
     scalar draw per swapped slot would leave it.  After the first pass only
     the rows the previous pass wrote into are sorted again.
