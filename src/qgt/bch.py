@@ -18,7 +18,7 @@ whose roots come from per-field tables built on first use
 (`FieldContext.quadratic_roots` and `cubic_roots`, 4 and 8 MB at q = 20),
 or into a cube root.  A quartic is depressed and split into two quadratics
 through one root of its resolvent cubic.  No step depends on r, so a decode
-costs the same at every code length.  Every candidate position set is
+does the same work at every code length.  Every candidate position set is
 re-verified against the full syndrome before it is returned, which turns
 any miscorrection into an explicit failure.  Since the designed distance
 2t + 1 leaves at most one in-range weight-w set per syndrome for w <= t,

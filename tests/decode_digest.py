@@ -60,6 +60,7 @@ pytest does not collect this file.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -203,16 +204,30 @@ def _plan_round_trips() -> list:
     return out
 
 
-def _trial_lines(point_sets, prefix="") -> list[str]:
-    """Digest lines of the seeded Monte Carlo runs at the given points."""
-    calls, outcomes, iterations = [], [], []
-    graph_digest = hashlib.sha256()
-    graph_count = 0
-    real_decode, real_peel, real_sample = codec.syndrome_decode, sim.peel_decode, sim.sample_graph
+@contextlib.contextmanager
+def _recorded_decodes():
+    """The list of (weight, blocks) of every codec.syndrome_decode call made
+    inside the block."""
+    calls = []
+    real_decode = codec.syndrome_decode
 
     def spy_decode(pcm, syndrome, w):
         calls.append((w, _blocks(pcm, syndrome)))
         return real_decode(pcm, syndrome, w)
+
+    codec.syndrome_decode = spy_decode
+    try:
+        yield calls
+    finally:
+        codec.syndrome_decode = real_decode
+
+
+def _trial_lines(point_sets, prefix="") -> list[str]:
+    """Digest lines of the seeded Monte Carlo runs at the given points."""
+    outcomes, iterations = [], []
+    graph_digest = hashlib.sha256()
+    graph_count = 0
+    real_peel, real_sample = sim.peel_decode, sim.sample_graph
 
     def spy_peel(plan, results):
         out = real_peel(plan, results)
@@ -227,9 +242,9 @@ def _trial_lines(point_sets, prefix="") -> list[str]:
         _digest_graph(graph_digest, g)
         return g
 
-    codec.syndrome_decode, sim.peel_decode, sim.sample_graph = spy_decode, spy_peel, spy_sample
+    sim.peel_decode, sim.sample_graph = spy_peel, spy_sample
     first, reports = [], []
-    try:
+    with _recorded_decodes() as calls:
         for N, K, points, trials, seeds in point_sets:
             for t, d, margin in points:
                 res = design.optimize_design(t, d)
@@ -240,8 +255,7 @@ def _trial_lines(point_sets, prefix="") -> list[str]:
                     first.append(outcomes[0])
                     old_fields = ("wall_time", "mean_iterations")
                     reports.append({k: v for k, v in dataclasses.asdict(rep).items() if k not in old_fields})
-    finally:
-        codec.syndrome_decode, sim.peel_decode, sim.sample_graph = real_decode, real_peel, real_sample
+    sim.peel_decode, sim.sample_graph = real_peel, real_sample
 
     lines = []
     for name, data in [
@@ -264,16 +278,8 @@ def main():
     digest = hashlib.sha256(json.dumps(states, sort_keys=True).encode()).hexdigest()
     print(f"sampler generator states ({len(states)}): {digest}")
 
-    calls = []
-    real_decode = codec.syndrome_decode
-
-    def spy_decode(pcm, syndrome, w):
-        calls.append((w, _blocks(pcm, syndrome)))
-        return real_decode(pcm, syndrome, w)
-
-    codec.syndrome_decode = spy_decode
-    inconsistent = {"outcomes": _inconsistent_decodes(), "calls": calls}
-    codec.syndrome_decode = real_decode
+    with _recorded_decodes() as calls:
+        inconsistent = {"outcomes": _inconsistent_decodes(), "calls": calls}
     digest = hashlib.sha256(json.dumps(inconsistent, sort_keys=True).encode()).hexdigest()
     print(f"inconsistent decodes ({len(inconsistent['outcomes'])}, {len(calls)} calls): {digest}")
 
