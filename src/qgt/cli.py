@@ -57,14 +57,17 @@ def _load_json(path):
 
 
 def _emit(text, out):
+    """Write text and one newline to the file out, or to stdout; the newline
+    is written after the text, so a large text is never copied to add it."""
     if out:
         try:
             with open(out, "w") as fh:
                 fh.write(text)
+                fh.write("\n")
         except OSError as exc:
             raise FileError(f"cannot write {out}: {exc}") from None
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text)
 
 
 def _pick_seed(args):
@@ -79,14 +82,14 @@ def _pick_seed(args):
 def cmd_design(args):
     _check_d(args)
     res = design.optimize_design(args.t, args.d)
-    _emit(json.dumps(res.to_dict(), indent=2) + "\n", args.out)
+    _emit(json.dumps(res.to_dict(), indent=2), args.out)
 
 
 def cmd_plan(args):
     _check_plan_args(args)
     res = design.optimize_design(args.t, args.d)
     plan = design.make_plan(args.N, args.K, res, margin=args.margin)
-    _emit(json.dumps(plan.to_dict(), indent=2) + "\n", args.out)
+    _emit(json.dumps(plan.to_dict(), indent=2), args.out)
 
 
 def cmd_gen(args):
@@ -104,7 +107,9 @@ def cmd_gen(args):
         test_plan = codec.TestPlan(sample_graph(args.N, M, r, res.profile, seed), args.t, seed=seed)
     except (ValueError, RuntimeError) as exc:
         raise UsageError(f"--M {M} --r {r}: {exc}") from None
-    _emit(json.dumps(test_plan.to_dict()) + "\n", args.out)
+    data = test_plan.to_dict()
+    del test_plan  # the graph is not needed while its JSON text is built
+    _emit(json.dumps(data), args.out)
 
 
 def cmd_encode(args):
@@ -113,7 +118,7 @@ def cmd_encode(args):
     if support.N != plan.N:
         raise FileError(f"support is over N={support.N}, plan over N={plan.N}")
     results = codec.encode(plan, support)
-    _emit(json.dumps(results.to_dict()) + "\n", args.out)
+    _emit(json.dumps(results.to_dict()), args.out)
 
 
 def cmd_decode(args):
@@ -126,7 +131,7 @@ def cmd_decode(args):
         _load_json(args.results), plan.M, plan.signature.s
     )
     outcome = codec.peel_decode(plan, results, max_iterations=args.max_iterations)
-    _emit(json.dumps(outcome.to_dict(), indent=2) + "\n", args.out)
+    _emit(json.dumps(outcome.to_dict(), indent=2), args.out)
     if outcome.stalled or outcome.failed_nodes:
         return 1
 
@@ -151,7 +156,7 @@ def cmd_simulate(args):
         )
     except RuntimeError as exc:  # the sampler gives up on a graph too dense for its pools
         raise UsageError(str(exc)) from None
-    _emit("\n".join([sim.CSV_HEADER] + [report.csv_row() for report in reports]) + "\n", args.out)
+    _emit("\n".join([sim.CSV_HEADER] + [report.csv_row() for report in reports]), args.out)
 
 
 def cmd_tables(args):
@@ -169,7 +174,7 @@ def cmd_tables(args):
         lam += [""] * (d_max - d)
         row = [str(args.t), str(d), f"{res.nodes_per_defective:.4g}", f"{res.profile.avg_degree:.4g}"]
         lines.append(",".join(row + lam))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines), args.out)
 
 
 def cmd_compare(args):
@@ -186,7 +191,7 @@ def cmd_compare(args):
         cols.append(f"{design.baseline_tests('regular-graph', args.N, K):.6g}")
         cols.append(f"{design.baseline_tests('greedy', args.N, K):.6g}")
         lines.append(",".join(cols))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,7 @@ signature column an item occupies in that pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,9 +61,10 @@ class BipartiteGraph:
     """Adjacency of N items and M pools with constant right degree r.
 
     right_adj has shape (M, r) with ascending, distinct entries per row.
-    The left incidence is kept once, in CSR form: for item v,
-    left_slot[left_ptr[v]:left_ptr[v+1]] holds, ascending, the flat indices
-    n*r + p of its entries in right_adj, so v sits in pool n at position p.
+    The left incidence is built once, on the first read of left_ptr or
+    left_slot, in CSR form: for item v, left_slot[left_ptr[v]:left_ptr[v+1]]
+    holds, ascending, the flat indices n*r + p of its entries in right_adj,
+    so v sits in pool n at position p.
     """
 
     def __init__(self, N: int, M: int, r: int, right_adj: np.ndarray):
@@ -86,22 +88,37 @@ class BipartiteGraph:
         n = right_adj.size
         if int(N) * n >= 2**63:
             raise ValueError(f"{N} items x {n} entries overflow the int64 sort keys")
+
+    @property
+    def left_ptr(self) -> np.ndarray:
+        return self._left_csr[0]
+
+    @property
+    def left_slot(self) -> np.ndarray:
+        return self._left_csr[1]
+
+    @cached_property
+    def _left_csr(self) -> tuple[np.ndarray, np.ndarray]:
         # keys item*n + slot are distinct and sort by item, then slot, so the
         # sorted slots are exactly the stable argsort of the flat adjacency;
-        # a chunk of sorted keys holds a run of items, so one small bincount
-        # counts them, and the temporaries stay chunk-sized
-        keys = right_adj.ravel() * n
-        keys += np.arange(n, dtype=np.int64)
+        # the slot n*r + p is added as a column of row offsets and a row of
+        # positions, so no temporary holds n entries; a chunk of sorted keys
+        # holds a run of items, so one small bincount counts them, and the
+        # temporaries stay chunk-sized
+        M, r, n = self.M, self.r, self.right_adj.size
+        keys = self.right_adj * n
+        keys += (np.arange(M, dtype=np.int64) * r)[:, None]
+        keys += np.arange(r, dtype=np.int64)
+        keys = keys.ravel()
         keys.sort()
-        left_ptr = np.zeros(N + 1, dtype=np.int64)
+        left_ptr = np.zeros(self.N + 1, dtype=np.int64)
         for start in range(0, n, CSR_CHUNK):
             part = keys[start : start + CSR_CHUNK]
             items = part // n
             left_ptr[items[0] + 1 : items[-1] + 2] += np.bincount(items - items[0])
             items *= n
             part -= items
-        self.left_ptr = np.cumsum(left_ptr, out=left_ptr)
-        self.left_slot = keys
+        return np.cumsum(left_ptr, out=left_ptr), keys
 
 
 def _repair_degrees(degs: np.ndarray, target: int, d: int, rng) -> np.ndarray:

@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,17 @@ def test_gen_deterministic_per_seed(tmp_path):
     assert cli.main(argv + [a]) == 0
     assert cli.main(argv + [b]) == 0
     assert open(a).read() == open(b).read()
+
+
+def test_gen_never_builds_the_incidence(tmp_path, csr_builds):
+    plan_file = str(tmp_path / "plan.json")
+    assert cli.main(["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8",
+                     "--margin", "1.6", "--seed", "77", "--out", plan_file]) == 0
+    assert csr_builds == []
+    support_file = write(tmp_path / "support.json", {"version": 1, "N": 300, "defective": [5, 17, 100]})
+    assert cli.main(["encode", "--plan", plan_file, "--support", support_file,
+                     "--out", str(tmp_path / "results.json")]) == 0
+    assert len(csr_builds) == 1
 
 
 def test_gen_without_seed_announces_choice(tmp_path, capsys):
@@ -316,6 +328,71 @@ def test_simulate_skips_a_budget_beyond_the_largest_field(tmp_path, caplog):
         "budget m=500 not realizable at N=1073741824, t=1; skipped"
     ]
     assert open(out).read() == "m,error_prob,ci_lo,ci_hi,full_recovery,trials\n"
+
+
+def _command_argvs(tmp_path):
+    plan_file = write(tmp_path / "plan.json", example_plan().to_dict())
+    support_file = write(tmp_path / "support.json", {"version": 1, "N": 14, "defective": [4, 8, 11]})
+    results_file = write(
+        tmp_path / "results.json",
+        codec.encode(example_plan(), codec.SupportVector(N=14, items=np.array([3, 7, 10]))).to_dict(),
+    )
+    small = ["--t", "1", "--d", "3", "--N", "300", "--K", "8", "--margin", "1.6"]
+    return {
+        "design": ["design", "--t", "1", "--d", "3"],
+        "plan": ["plan", *small],
+        "gen": ["gen", *small, "--seed", "7"],
+        "encode": ["encode", "--plan", plan_file, "--support", support_file],
+        "decode": ["decode", "--plan", plan_file, "--results", results_file],
+        "tables": ["tables", "--t", "3"],
+        "compare": ["compare", "--N", "65536", "--K-list", "16,64"],
+        "simulate": ["simulate", *small, "--trials", "2", "--seed", "3"],
+    }
+
+
+@pytest.mark.parametrize("command", ["design", "plan", "gen", "encode", "decode", "tables", "compare", "simulate"])
+def test_out_file_equals_stdout(command, tmp_path, capsys):
+    argv = _command_argvs(tmp_path)[command]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    out_file = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_file.read_bytes() == printed
+    assert printed.endswith(b"\n") and not printed.endswith(b"\n\n")
+
+
+def test_plan_commands_traced_peak_per_adjacency_entry(tmp_path):
+    # tracemalloc's peak over each command, per entry of the M x r adjacency
+    # (M*r = 196588 here): gen never builds the incidence and drops its graph
+    # before the JSON text is built, encode and decode build the incidence
+    # only after the parsed plan is freed, and the sort keys are built without
+    # an arange of M*r entries; with an eager incidence and a graph kept
+    # through the JSON dump, the three read 82.6, 60.7 and 61.0 bytes
+    files = {name: str(tmp_path / f"{name}.json") for name in ("plan", "results", "decoded")}
+    support = write(tmp_path / "support.json", {"version": 1, "N": 2**16, "defective": list(range(1, 65536, 656))})
+    argvs = {
+        "gen": ["gen", "--t", "1", "--d", "3", "--N", str(2**16), "--K", "100", "--margin", "1.6",
+                "--seed", "1", "--out", files["plan"]],
+        "encode": ["encode", "--plan", files["plan"], "--support", support, "--out", files["results"]],
+        "decode": ["decode", "--plan", files["plan"], "--results", files["results"], "--out", files["decoded"]],
+    }
+    for argv in argvs.values():  # fill the design, field and signature caches first
+        assert cli.main(argv) == 0
+    plan = json.loads(open(files["plan"]).read())
+    entries = plan["M"] * plan["r"]
+    assert entries == 196588
+    bounds = {"gen": 72, "encode": 54, "decode": 54}
+    tracemalloc.start()
+    try:
+        for name, argv in argvs.items():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert cli.main(argv) == 0
+            per_entry = (tracemalloc.get_traced_memory()[1] - base) / entries
+            assert per_entry <= bounds[name], f"{name}: {per_entry:.1f} bytes per adjacency entry"
+    finally:
+        tracemalloc.stop()
 
 
 def test_console_invocation():

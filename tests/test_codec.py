@@ -323,6 +323,15 @@ def test_plan_roundtrip_json():
     assert back.M * back.signature.s == 12
 
 
+def test_plan_from_dict_leaves_incidence_unbuilt(csr_builds):
+    plan = TestPlan.from_dict(example_plan().to_dict())
+    assert csr_builds == []
+    results = encode(plan, SupportVector(N=14, items=EXAMPLE_DEFECTIVE))
+    assert csr_builds == [plan.graph]
+    assert peel_decode(plan, results).identified.tolist() == EXAMPLE_DEFECTIVE
+    assert csr_builds == [plan.graph]
+
+
 def test_plan_format_errors():
     good = example_plan().to_dict()
     bad = dict(good, version=99)

@@ -84,17 +84,35 @@ def test_left_csr_matches_stable_argsort():
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("first", ["left_ptr", "left_slot"])
+def test_left_csr_built_once_on_first_read(first, csr_builds):
+    g = BipartiteGraph(14, 3, 7, EXAMPLE_ADJ)
+    assert csr_builds == []
+    getattr(g, first)
+    assert csr_builds == [g]
+    ptr, slot = g.left_ptr, g.left_slot
+    assert g.left_ptr is ptr and g.left_slot is slot
+    assert csr_builds == [g]
+    want_ptr, want_slot = _stable_argsort_csr(14, g.right_adj)
+    assert np.array_equal(ptr, want_ptr) and np.array_equal(slot, want_slot)
+    with pytest.raises(AttributeError):
+        g.left_ptr = want_ptr
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_left_csr_across_key_chunks(chunk, monkeypatch):
-    # chunks of sorted keys that split an item's run, or hold a single key
+def test_left_csr_across_key_chunks(chunk, monkeypatch, csr_builds):
+    # chunks of sorted keys that split an item's run, or hold a single key;
+    # each incidence is built at its first read below, under the patched chunk
     monkeypatch.setattr(graphs, "CSR_CHUNK", chunk)
     p = profile_from_lambda(4, [0.0, 0.3, 0.4, 0.3])
     for N, M, r in [(14, 3, 7), (50, 20, 7), (300, 40, 21)]:
         adj = EXAMPLE_ADJ if N == 14 else sample_graph(N, M, r, p, seed=N + M).right_adj
         g = BipartiteGraph(N, M, r, adj)
+        assert g not in csr_builds
         ptr, slot = _stable_argsort_csr(N, g.right_adj)
         assert np.array_equal(g.left_ptr, ptr)
         assert np.array_equal(g.left_slot, slot)
+        assert csr_builds[-1] is g
 
 
 def test_bipartite_graph_validation():
@@ -142,7 +160,8 @@ def test_bipartite_graph_edge_sizes():
 
 def test_bipartite_graph_key_overflow():
     # 2^62 items x 3 entries does not fit the int64 keys item*n + slot; the
-    # guard raises before any array of N entries is allocated
+    # guard raises at construction, though the keys are built only at the
+    # first read of the incidence, and before any array of N entries exists
     with pytest.raises(ValueError, match="overflow the int64 sort keys"):
         BipartiteGraph(2**62, 1, 3, [[0, 1, 2]])
 
