@@ -35,6 +35,12 @@ LOAD_SCAN_START = 0.05
 LOAD_SCAN_STEP = 0.02
 LOAD_SCAN_CAP = 40.0
 LOAD_REFINE_TOL = 1e-4
+BIND_TOL = 1e-6
+
+# every active set holds the two end rows of the grid; a cold start adds
+# every 12th row
+_EDGE_ROWS = (0, DEFAULT_PHI_GRID.size - 1)
+_COLD_ROWS = tuple(dict.fromkeys([*_EDGE_ROWS, *range(0, DEFAULT_PHI_GRID.size, 12)]))
 
 
 class Infeasible(Exception):
@@ -77,6 +83,14 @@ def lp_optimize_profile(t: int, d: int, load: float) -> tuple[DegreeProfile, flo
     full grid before being returned.  Raises Infeasible when no profile
     contracts at this load.
     """
+    profile, f, _ = _solve_profile(t, d, load, _COLD_ROWS)
+    return profile, f
+
+
+def _solve_profile(t, d, load, start):
+    """lp_optimize_profile with the active set started from the grid rows
+    start; also returns the rows that bind at the optimum (slack within
+    BIND_TOL of the limit)."""
     # A pool correcting a single error cannot separate two items that share
     # both of their pools.  With M proportional to K there are order-one such
     # degree-2 collisions per instance, each of which stalls the decoder, so
@@ -96,7 +110,7 @@ def lp_optimize_profile(t: int, d: int, load: float) -> tuple[DegreeProfile, flo
     cost = -load / np.arange(lo, d + 1, dtype=float)
     A_eq = np.ones((1, d - lo + 1))
 
-    active = list(dict.fromkeys([0, grid.size - 1, *range(0, grid.size, 12)]))
+    active = list(dict.fromkeys(start))
     for _ in range(60):
         res = simplex_solve(cost, A_ub=A_full[active], b_ub=np.full(len(active), limit), A_eq=A_eq, b_eq=[1.0])
         if res.status == "infeasible":
@@ -109,7 +123,7 @@ def lp_optimize_profile(t: int, d: int, load: float) -> tuple[DegreeProfile, flo
         if not violated:
             lam = np.zeros(d)
             lam[lo - 1 :] = res.x
-            return profile_from_lambda(d, lam), float(cost @ res.x)
+            return profile_from_lambda(d, lam), float(cost @ res.x), np.flatnonzero(slack >= -BIND_TOL).tolist()
         active.extend(violated)
     raise RuntimeError("active-set loop did not converge")
 
@@ -141,12 +155,21 @@ class DesignResult:
         }
 
 
-def _objective_at(t, d, load):
+def _objective_at(t, d, load, seed=None):
+    """(f, profile) of the LP at load, (inf, None) where it is infeasible.
+
+    Without seed the LP starts cold.  seed is a list of grid rows: the LP
+    starts from the end rows plus these, and a feasible solve replaces them
+    with the rows that bind at its optimum, to start the next LP from.
+    """
     try:
-        profile, f = lp_optimize_profile(t, d, load)
-        return f, profile
+        if seed is None:
+            profile, f = lp_optimize_profile(t, d, load)
+        else:
+            profile, f, seed[:] = _solve_profile(t, d, load, [*_EDGE_ROWS, *seed])
     except Infeasible:
         return math.inf, None
+    return f, profile
 
 
 def _grid_load(i: int) -> float:
@@ -198,7 +221,8 @@ def optimize_design(t: int, d: int) -> DesignResult:
     best_i, hi_i = 0, _LAST_GRID_INDEX
     while best_i < hi_i:
         mid = (best_i + hi_i) // 2
-        if f_at(mid + 1) < f_at(mid):
+        # an infeasible f(mid + 1) is not below f(mid), whatever f(mid) is
+        if math.isfinite(f_at(mid + 1)) and f_at(mid + 1) < f_at(mid):
             best_i = mid + 1
         else:
             hi_i = mid
@@ -210,17 +234,20 @@ def optimize_design(t: int, d: int) -> DesignResult:
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, _ = _objective_at(t, d, x1)
-    f2, _ = _objective_at(t, d, x2)
+    # the golden-section loads lie close together, so each LP starts from the
+    # rows that bound at the last feasible one; its f only orders two loads
+    seed = []
+    f1, _ = _objective_at(t, d, x1, seed)
+    f2, _ = _objective_at(t, d, x2, seed)
     while b - a > LOAD_REFINE_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1, _ = _objective_at(t, d, x1)
+            f1, _ = _objective_at(t, d, x1, seed)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2, _ = _objective_at(t, d, x2)
+            f2, _ = _objective_at(t, d, x2, seed)
     load_star = (a + b) / 2.0
     f_star, profile = _objective_at(t, d, load_star)
     if profile is None:

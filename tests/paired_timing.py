@@ -20,7 +20,10 @@ themselves.  LAYER is one of
   measurements, each tree on its own plan built from the same adjacency;
 - `trial`: one `sim.run_plan_trials` trial, as the Monte Carlo runs it;
   its report is compared without the `wall_time` and `mean_iterations`
-  fields that older trees carry.
+  fields that older trees carry;
+- `optimize_design`: the 16 rows of `qgt tables --t 2` (d = 2..17), each
+  a cold `design.optimize_design.__wrapped__` call, compared as their
+  `to_dict()` JSON; the point and the seed do not enter.
 
 The points are `desk1`, `desk2`, `desk3` (N = 2^16, K = 100, t = 1/2/3 at
 the criterion-4 designs), `dense` (N = 2^20, K = 10^4, t = 3, d = 2) and
@@ -67,6 +70,7 @@ POINTS = {
     "dense4": (2**20, 10**4, 4, 2, 1.5),
 }
 SYNDROMES_PER_PAIR = 2000
+TABLES_T, TABLES_D = 2, range(2, 18)  # the rows of `qgt tables --t 2`
 
 
 def load_tree(name: str, pkg_dir: Path) -> dict:
@@ -127,6 +131,15 @@ def _syndromes(pcm, w: int, seed: int) -> list[list[int]]:
 
 def prepare(layer: str, point: Point, trees: dict, seed: int, weight: int) -> dict:
     """Per tree, a call of the layer on the inputs of this seed."""
+    if layer == "optimize_design":
+        return {
+            k: (
+                lambda design=tr["design"]: [
+                    json.dumps(design.optimize_design.__wrapped__(TABLES_T, d).to_dict()) for d in TABLES_D
+                ]
+            )
+            for k, tr in trees.items()
+        }
     this = trees["this"]
     sizes = (point.N, point.M, point.r)
     if layer == "sample_graph":
@@ -204,7 +217,7 @@ def timed(call) -> tuple[float, object]:
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("other_src", type=Path, help="the src directory of the other tree")
-    ap.add_argument("layer", choices=["sample_graph", "BipartiteGraph", "syndrome_decode", "encode", "peel_decode", "trial"])
+    ap.add_argument("layer", choices=["sample_graph", "BipartiteGraph", "syndrome_decode", "encode", "peel_decode", "trial", "optimize_design"])
     ap.add_argument("--point", choices=sorted(POINTS), default="dense")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
@@ -216,7 +229,7 @@ def main(argv=None):
     if other_pkg == Path(qgt.__file__).resolve().parent:
         ap.error("the other tree is this tree")
     trees = {"this": this_tree(), "other": load_tree("qgt_other", other_pkg)}
-    point = Point(args.point, trees["this"])
+    point = None if args.layer == "optimize_design" else Point(args.point, trees["this"])
     for call in prepare(args.layer, point, trees, args.seed + args.pairs, args.weight).values():
         call()  # fills each tree's lazy tables and caches before any timing
     times = {"this": [], "other": []}
@@ -237,7 +250,7 @@ def main(argv=None):
     ratios = [a / b for a, b in zip(times["this"], times["other"])]
     summary = {
         "layer": args.layer,
-        "point": args.point,
+        "point": args.point if point else None,
         "weight": args.weight if args.layer == "syndrome_decode" else None,
         "seeds": [args.seed, args.seed + args.pairs - 1],
         "pairs": args.pairs,
@@ -250,7 +263,7 @@ def main(argv=None):
     if args.json:
         print(json.dumps(summary))
     else:
-        print(f"{args.layer} at {args.point}: this {summary['this_median_ms']} ms, other "
+        print(f"{args.layer}{f' at {args.point}' if point else ''}: this {summary['this_median_ms']} ms, other "
               f"{summary['other_median_ms']} ms (medians); median ratio this/other "
               f"{summary['median_ratio']}, this faster in {summary['this_faster_pairs']} of {args.pairs} pairs")
 

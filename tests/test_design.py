@@ -239,8 +239,8 @@ def test_load_search_matches_full_scan(monkeypatch, t, d):
     calls = []  # (load, objective) of every LP the search asked for
     real_objective_at = design._objective_at
 
-    def spy(t, d, load):
-        out = real_objective_at(t, d, load)
+    def spy(t, d, load, seed=None):
+        out = real_objective_at(t, d, load, seed)
         calls.append((load, out[0]))
         return out
 
@@ -263,6 +263,111 @@ def test_load_search_matches_full_scan(monkeypatch, t, d):
         assert f == (trace[i][1] if i < len(trace) else math.inf)
     feasible = sorted((i, f) for i, f in grid if math.isfinite(f))
     assert feasible[_first_argmin(feasible)][0] == _first_argmin(trace)
+
+
+SEEDED_ROWS = [(1, 3), (2, 5), (3, 17), (4, 32)]
+
+
+def _grid_index(load):
+    """The index of the coarse grid point at this load, None off the grid."""
+    i = round((load - LOAD_SCAN_START) / LOAD_SCAN_STEP)
+    return i if load == design._grid_load(i) else None
+
+
+@pytest.mark.parametrize("t,d", SEEDED_ROWS)
+def test_golden_section_lps_start_from_the_bound_rows(monkeypatch, t, d):
+    # a cold LP starts from 43 grid rows; the golden-section LPs after the
+    # first start from the rows that bound at the last one (at most 5 at these
+    # rows, 11 over every (t, d)) and stay near that size
+    lps = []  # per LP: its load and the inequality rows of each of its solves
+    real_objective_at, real_solve = design._objective_at, design.simplex_solve
+
+    def spy_objective(t, d, load, seed=None):
+        lps.append((load, []))
+        return real_objective_at(t, d, load, seed)
+
+    def spy_solve(c, A_ub=None, b_ub=None, **kw):
+        lps[-1][1].append(len(A_ub))
+        return real_solve(c, A_ub=A_ub, b_ub=b_ub, **kw)
+
+    monkeypatch.setattr(design, "_objective_at", spy_objective)
+    monkeypatch.setattr(design, "simplex_solve", spy_solve)
+    design.optimize_design.__wrapped__(t, d)
+    # the golden-section LPs: every LP off the grid but the final one
+    golden = [rows for load, rows in lps[:-1] if _grid_index(load) is None]
+    assert len(golden) >= 10
+    later = [n for rows in golden[1:] for n in rows]
+    assert max(later) <= 12, later
+
+
+def _feasibility_edge(t, d, load):
+    """A feasible load and an infeasible one at most 1e-3 above it, the
+    first at or above the feasible load given."""
+    step = 0.5
+    while math.isfinite(design._objective_at(t, d, load + step)[0]):
+        load += step
+    while step > 1e-3:
+        step /= 2
+        if math.isfinite(design._objective_at(t, d, load + step)[0]):
+            load += step
+    return load, load + step
+
+
+@pytest.mark.parametrize("t,d", SEEDED_ROWS)
+def test_seeded_lp_matches_cold_lp(t, d):
+    # started from the end rows alone, the LP still certifies on the whole
+    # grid: the same verdict as a cold start, and the same optimum up to
+    # rounding.  Near the feasibility edge the optimal basis mixes the lowest
+    # and highest degrees and is badly conditioned: there the two pivot paths
+    # measured up to 1.4e-11 apart (d = 32); near the design loads of these
+    # rows they agree within 1e-12.
+    load_star = optimize_design(t, d).load
+    below, above = _feasibility_edge(t, d, load_star)
+    near = [(load_star + dx, 1e-12) for dx in (-0.02, 0.0, 0.02)]
+    for load, rel in near + [(below, 1e-10), (above, None)]:
+        cold_f, cold_profile = design._objective_at(t, d, load)
+        seed = []
+        f, profile = design._objective_at(t, d, load, seed)
+        assert (profile is None) == (cold_profile is None), load
+        if profile is None:
+            assert f == cold_f == math.inf and seed == []
+        else:
+            assert f == pytest.approx(cold_f, rel=rel, abs=0.0), load
+
+
+@pytest.mark.parametrize("t,d", SEARCH_ROWS)
+def test_bisection_skips_f_mid_past_an_infeasible_neighbour(monkeypatch, t, d):
+    # replay the bisection on the grid values the search solved: each step
+    # solves f(mid + 1), and f(mid) only when f(mid + 1) is finite
+    grid = []  # (index, objective) of each grid LP, in the order solved
+    real_objective_at = design._objective_at
+
+    def spy(t, d, load, seed=None):
+        out = real_objective_at(t, d, load, seed)
+        if _grid_index(load) is not None:
+            grid.append((_grid_index(load), out[0]))
+        return out
+
+    monkeypatch.setattr(design, "_objective_at", spy)
+    design.optimize_design.__wrapped__(t, d)
+    solved = dict(grid)
+    expected = [0]
+
+    def f(i):
+        if i > design._LAST_GRID_INDEX:
+            return math.inf
+        if i not in expected:
+            expected.append(i)
+        return solved[i]
+
+    best, hi = 0, design._LAST_GRID_INDEX
+    while best < hi:
+        mid = (best + hi) // 2
+        if math.isfinite(f(mid + 1)) and f(mid + 1) < f(mid):
+            best = mid + 1
+        else:
+            hi = mid
+    assert [i for i, _ in grid] == expected
 
 
 def test_design_result_serialization():

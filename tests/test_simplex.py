@@ -226,8 +226,8 @@ def test_designs_unchanged_against_scalar_oracle(monkeypatch, t, d):
     calls = []  # (load, objective, lambda) of every LP, golden-section ones included
     real_objective_at = design._objective_at
 
-    def spy(t, d, load):
-        f, profile = real_objective_at(t, d, load)
+    def spy(t, d, load, seed=None):
+        f, profile = real_objective_at(t, d, load, seed)
         calls.append((load, f, None if profile is None else profile.lam.tolist()))
         return f, profile
 
