@@ -139,6 +139,11 @@ def _repair_degrees(degs: np.ndarray, target: int, d: int, rng) -> np.ndarray:
     return degs
 
 
+def _work_dtype(N: int, r: int):
+    """The narrowest integer dtype of the sampler's keys item*r + slot < N*r."""
+    return np.int32 if N * r < 2**31 else np.int64
+
+
 def _try_assemble(N, M, r, degs, rng):
     # Swap rule: each pass takes the rows that hold a repeated item at the
     # start of the pass.  Row g is read once, as it stands when its turn
@@ -147,7 +152,12 @@ def _try_assemble(N, M, r, degs, rng):
     # ascending slot order, with the flat slot of the next rng.integers(M*r)
     # draw.  The keys item*r + slot are distinct and sort by item, then
     # slot, so a repeat is a sorted key whose item equals its predecessor's;
-    # item*r + slot < N*r fits in int64 as BipartiteGraph requires of N*M*r.
+    # item*r + slot < N*r fits in int64 as BipartiteGraph requires of N*M*r,
+    # and in int32 when N*r < 2**31.  The keys, the rows and their sorts and
+    # swaps run in that work dtype; flat slot indices stay Python ints, since
+    # M*r may exceed N*r.  The stubs are shuffled as int64, numpy's fast
+    # path for 8-byte items, and the sorted rows are written back into that
+    # shuffled buffer, so no new int64 array is allocated.
     # A pass takes its draws from batches of one rng.integers(M*r, size=n)
     # call each, n being the repeated slots at its start plus
     # SWAP_DRAW_SLACK, drawing another batch when one runs out.  At its end
@@ -160,8 +170,10 @@ def _try_assemble(N, M, r, degs, rng):
     # one sort when that is every row.
     stubs = np.repeat(np.arange(N, dtype=np.int64), degs)
     rng.shuffle(stubs)
-    arr = stubs.reshape(M, r)
-    slots = np.arange(r, dtype=np.int64)
+    kd = _work_dtype(N, r)
+    work = stubs.astype(kd, copy=False)
+    arr = work.reshape(M, r)
+    slots = np.arange(r, dtype=kd)
     total = M * r
     srt = sub = np.sort(arr, axis=1)
     rows = np.arange(M)
@@ -169,7 +181,9 @@ def _try_assemble(N, M, r, degs, rng):
         repeats = sub[:, 1:] == sub[:, :-1]
         bad_rows = rows[repeats.any(axis=1)]
         if bad_rows.size == 0:
-            return srt
+            out = stubs.reshape(M, r)
+            out[...] = srt
+            return out
         start = rng.bit_generator.state
         batch = int(repeats.sum()) + SWAP_DRAW_SLACK
         draws = rng.integers(total, size=batch).tolist()
@@ -182,13 +196,13 @@ def _try_assemble(N, M, r, degs, rng):
             dup = keys[1:][items[1:] == items[:-1]]
             dup %= r
             dup.sort()
-            dup += g * r
-            for i in dup.tolist():
+            base = g * r
+            for slot in dup.tolist():
                 if used == len(draws):
                     draws += rng.integers(total, size=batch).tolist()
-                k = draws[used]
+                i, k = base + slot, draws[used]
                 used += 1
-                stubs[i], stubs[k] = stubs[k], stubs[i]
+                work[i], work[k] = work[k], work[i]
         rng.bit_generator.state = start
         drawn = rng.integers(total, size=used)
         written = np.zeros(M, dtype=bool)
@@ -237,7 +251,9 @@ def sample_graph(N: int, M: int, r: int, profile: DegreeProfile, seed) -> Bipart
     rng.integers(M * r) draw.  The draws
     come in batches and the generator ends each pass exactly where one
     scalar draw per swapped slot would leave it.  After the first pass only
-    the rows the previous pass wrote into are sorted again.
+    the rows the previous pass wrote into are sorted again.  The sort keys
+    item * r + slot are < N * r, so the sorts and swaps run on int32 when
+    N * r < 2**31 (int64 otherwise); the adjacency is int64 either way.
     """
     if N < 1 or M < 1:
         raise ValueError("need at least one node on each side")

@@ -13,7 +13,8 @@ themselves.  LAYER is one of
 - `BipartiteGraph`: one build of a sampled graph's adjacency;
 - `syndrome_decode`: 2000 `bch.syndrome_decode` calls of weight `--weight`
   at the point's code, 3 in 4 on the syndrome of a random in-range set of
-  that weight and 1 in 4 on random blocks;
+  that weight and 1 in 4 on random blocks; the weight must lie in 1..t
+  of the point, and the default of 2 needs `--point` at t >= 2;
 - `encode`: one `codec.encode` of a sampled support, each tree on its own
   plan built from the same adjacency;
 - `peel_decode`: one `codec.peel_decode` of a sampled support's
@@ -224,6 +225,9 @@ def main(argv=None):
     ap.add_argument("--weight", type=int, default=2, help="syndrome_decode only")
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args(argv)
+    t = POINTS[args.point][2]
+    if args.layer == "syndrome_decode" and not 1 <= args.weight <= t:
+        ap.error(f"--weight {args.weight} outside [1, {t}] at {args.point} (t = {t})")
 
     other_pkg = (args.other_src / "qgt").resolve()
     if other_pkg == Path(qgt.__file__).resolve().parent:

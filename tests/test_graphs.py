@@ -244,14 +244,17 @@ def test_sample_graph_infeasible_stub_totals():
 
 
 class _DrawSpy:
-    """A generator that logs its state before each integers() call."""
+    """A generator that logs its state before each integers() call, and the
+    arrays it shuffles."""
 
     def __init__(self, rng):
         self.rng = rng
         self.bit_generator = rng.bit_generator
         self.states = []
+        self.shuffled = []
 
     def shuffle(self, x):
+        self.shuffled.append(x)
         self.rng.shuffle(x)
 
     def integers(self, n, size=None):
@@ -297,6 +300,67 @@ def _desk_degrees(t, d, margin, seed):
 def test_assembly_matches_dict_walk_at_desk_points(t, d, margin):
     adj = _assert_same_assembly(*_desk_degrees(t, d, margin, 5))
     assert (np.diff(adj, axis=1) > 0).all()
+
+
+# the desk points at seed 5, and the four desk seeds among 0-59 that take the
+# most swap passes
+DESK_CASES = [
+    (1, 3, 1.6, 5), (2, 3, 1.8, 5), (3, 2, 1.5, 5),
+    (2, 3, 1.8, 38), (3, 2, 1.5, 1), (3, 2, 1.5, 21), (3, 2, 1.5, 44),
+]
+
+
+def _force_int64_work(monkeypatch) -> list:
+    """Make the assembler work in int64 and log the sizes it asks about."""
+    asked = []
+    monkeypatch.setattr(graphs, "_work_dtype", lambda N, r: asked.append((N, r)) or np.int64)
+    return asked
+
+
+@pytest.mark.parametrize("t,d,margin,seed", DESK_CASES)
+def test_int64_work_dtype_matches_int32(t, d, margin, seed, monkeypatch):
+    N, M, r, degs, rng = _desk_degrees(t, d, margin, seed)
+    assert graphs._work_dtype(N, r) == np.int32
+    narrow = _assert_same_assembly(N, M, r, degs, rng)
+    asked = _force_int64_work(monkeypatch)
+    wide = _assert_same_assembly(N, M, r, degs, rng)
+    assert asked == [(N, r)]
+    # both runs match the oracles' graph and generator state, so each other's
+    assert wide.dtype == narrow.dtype == np.int64
+    assert np.array_equal(wide, narrow)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_assembly_writes_into_the_shuffled_buffer(wide, monkeypatch):
+    # the sorted rows go back into the shuffled int64 stubs, so no second
+    # int64 array of M*r entries is allocated
+    if wide:
+        _force_int64_work(monkeypatch)
+    N, M, r, degs, rng = _desk_degrees(1, 3, 1.6, 5)
+    spy = _DrawSpy(rng)
+    adj = graphs._try_assemble(N, M, r, degs, spy)
+    (stubs,) = spy.shuffled
+    assert stubs.dtype == adj.dtype == np.int64
+    assert np.shares_memory(adj, stubs)
+
+
+def test_work_dtype_boundary():
+    # the largest key item*r + slot is N*r - 1
+    assert graphs._work_dtype(2**16, 2**15 - 1) == np.int32
+    assert 2**16 * (2**15 - 1) - 1 <= np.iinfo(np.int32).max
+    assert graphs._work_dtype(2**16, 2**15) == np.int64
+
+
+def test_sampled_adjacency_is_the_assembled_array(monkeypatch):
+    assembled = []
+    assemble = graphs._try_assemble
+    monkeypatch.setattr(graphs, "_try_assemble", lambda *args: assembled.append(assemble(*args)) or assembled[-1])
+    des = optimize_design(1, 3)
+    plan = make_plan(2**16, 100, des, 1.6)
+    g = sample_graph(plan.N, plan.M, plan.r, des.profile, 5)
+    adj = g.right_adj
+    assert adj.dtype == np.int64 and adj.flags.c_contiguous
+    assert np.shares_memory(adj, assembled[-1])
 
 
 class _SortSpy:
