@@ -73,34 +73,24 @@ def _pois_upper(t: int, x):
     return np.clip(out, 0.0, 1.0)
 
 
-def lp_optimize_profile(t: int, d: int, load: float) -> tuple[DegreeProfile, float]:
+def _solve_profile(t, d, load, start):
     """Best profile at a fixed load: min -load * sum_i lambda_i / i subject to
     one contraction constraint, with margin DE_MARGIN, per point of
     DEFAULT_PHI_GRID.
 
     Only a handful of grid constraints bind at the optimum, so the LP is
-    solved on a growing active subset and the result is certified against the
-    full grid before being returned.  Raises Infeasible when no profile
+    solved on a growing active subset, started from the grid rows start, and
+    the result is certified against the full grid before being returned.
+    Returns the profile, its objective and the rows that bind at the optimum
+    (slack within BIND_TOL of the limit).  Raises Infeasible when no profile
     contracts at this load.
     """
-    profile, f, _ = _solve_profile(t, d, load, _COLD_ROWS)
-    return profile, f
-
-
-def _solve_profile(t, d, load, start):
-    """lp_optimize_profile with the active set started from the grid rows
-    start; also returns the rows that bind at the optimum (slack within
-    BIND_TOL of the limit)."""
     # A pool correcting a single error cannot separate two items that share
     # both of their pools.  With M proportional to K there are order-one such
     # degree-2 collisions per instance, each of which stalls the decoder, so
     # mass on degree 2 is only usable when t >= 2.  The asymptotic recursion
     # cannot see this: it would happily mix in degree 2 at t = 1.
     lo = 3 if t == 1 else 2
-    if d < lo:
-        raise Infeasible(f"max degree d={d} below minimum usable degree {lo} at t={t}")
-    if load <= 0:
-        raise ValueError("load must be positive")
     grid = DEFAULT_PHI_GRID
     unresolved = _pois_upper(t, load * grid)
     # rows scaled by 1/phi: sum_i lambda_i * u^(i-1) / phi <= 1 - margin
@@ -108,22 +98,19 @@ def _solve_profile(t, d, load, start):
     A_full = unresolved[:, None] ** powers[None, :] / grid[:, None]
     limit = 1.0 - DE_MARGIN
     cost = -load / np.arange(lo, d + 1, dtype=float)
-    A_eq = np.ones((1, d - lo + 1))
 
     active = list(dict.fromkeys(start))
     for _ in range(60):
-        res = simplex_solve(cost, A_ub=A_full[active], b_ub=np.full(len(active), limit), A_eq=A_eq, b_eq=[1.0])
-        if res.status == "infeasible":
+        x = simplex_solve(cost, A_full[active], np.full(len(active), limit))
+        if x is None:
             raise Infeasible(f"no contracting profile at load {load:.4f} (t={t}, d={d})")
-        if res.status != "optimal":
-            raise RuntimeError(f"simplex returned {res.status}")
-        slack = A_full @ res.x - limit
+        slack = A_full @ x - limit
         worst = np.argsort(slack)[-4:]
         violated = [int(g) for g in worst if slack[g] > 1e-9 and g not in active]
         if not violated:
             lam = np.zeros(d)
-            lam[lo - 1 :] = res.x
-            return profile_from_lambda(d, lam), float(cost @ res.x), np.flatnonzero(slack >= -BIND_TOL).tolist()
+            lam[lo - 1 :] = x
+            return profile_from_lambda(d, lam), float(cost @ x), np.flatnonzero(slack >= -BIND_TOL).tolist()
         active.extend(violated)
     raise RuntimeError("active-set loop did not converge")
 
@@ -164,7 +151,7 @@ def _objective_at(t, d, load, seed=None):
     """
     try:
         if seed is None:
-            profile, f = lp_optimize_profile(t, d, load)
+            profile, f, _ = _solve_profile(t, d, load, start=_COLD_ROWS)
         else:
             profile, f, seed[:] = _solve_profile(t, d, load, [*_EDGE_ROWS, *seed])
     except Infeasible:

@@ -1,31 +1,24 @@
 """Dense two-phase simplex with Bland's anticycling rule.
 
-Solves  min c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
+Solves the one LP shape the design poses:
 
-Rows are sign-flipped so all right-hand sides are nonnegative; slack variables
-then give a starting basis for the inequality rows and artificial variables
-cover the rest.  Phase 1 drives the artificials to zero (positive optimum
-means infeasible), phase 2 optimizes the real objective with the artificial
-columns barred from entering.  Bland's rule (lowest eligible index enters,
-lowest-index basic variable leaves on ratio ties) guarantees termination on
-degenerate problems at some cost in pivot count, which is fine at the sizes
-used here.
+    min c.x  subject to  A x <= b,  sum(x) = 1,  x >= 0,  with b >= 0.
+
+Each inequality row gets a slack variable that starts the basis; the
+sum-to-one row gets the one artificial variable.  Phase 1 drives the
+artificial to zero (a positive optimum means infeasible), phase 2 optimizes
+the real objective with the artificial column barred from entering.  The
+sum-to-one row bounds the feasible set, so phase 2 always ends at an optimum.
+Bland's rule (lowest eligible index enters, lowest-index basic variable
+leaves on ratio ties) guarantees termination on degenerate problems at some
+cost in pivot count, which is fine at the sizes used here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _TOL = 1e-9
-
-
-@dataclass
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    objective: float | None
 
 
 def _pivot(T, basis, row, col):
@@ -75,82 +68,59 @@ def _run_phase(T, basis, n_allowed):
         improving = T[-1, :n_allowed] < -_TOL
         enter = int(improving.argmax())
         if not improving[enter]:
-            return "optimal"
+            return
         row = _leaving_row(T[:m, enter], T[:m, -1], basis)
         if row is None:
-            return "unbounded"
+            raise RuntimeError("simplex found an unbounded direction on a bounded LP")
         _pivot(T, basis, row, enter)
 
 
-def _stack(A, b, n, kind):
-    if A is None:
-        return np.zeros((0, n)), np.zeros(0)
-    A = np.asarray(A, dtype=float).reshape(-1, n)
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size != A.shape[0]:
-        raise ValueError(f"{kind} constraints: {A.shape[0]} rows but {b.size} right-hand sides")
-    return A, b
-
-
-def simplex_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
+def simplex_solve(c, A, b) -> np.ndarray | None:
+    """The optimal x of min c.x subject to A x <= b, sum(x) = 1, x >= 0, or
+    None when no x satisfies the constraints.  b must be nonnegative."""
     c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if (b < 0).any():
+        raise ValueError("right-hand sides must be nonnegative")
     n = c.size
-    A_ub, b_ub = _stack(A_ub, b_ub, n, "inequality")
-    A_eq, b_eq = _stack(A_eq, b_eq, n, "equality")
-    n_slack = A_ub.shape[0]
-    m = n_slack + A_eq.shape[0]
-    if m == 0:
-        raise ValueError("no constraints")
+    n_slack = A.shape[0]
+    m = n_slack + 1
     n_real = n + n_slack
+    total = n_real + 1
 
-    b = np.concatenate([b_ub, b_eq])
-    flip = b < 0
-    flipped = np.flatnonzero(flip)
-    # a flipped slack has coefficient -1 and cannot start the basis, so
-    # flipped inequalities need an artificial just like equalities
-    need_art = np.flatnonzero(flip | (np.arange(m) >= n_slack))
-    n_art = need_art.size
-    total = n_real + n_art
-
-    # rows: inequalities (each with its own slack column), then equalities
+    # rows: inequalities (each with its own slack column), then sum(x) = 1
+    # with the artificial column last
     T = np.zeros((m + 1, total + 1), dtype=float)
-    T[:n_slack, :n] = A_ub
-    T[n_slack:m, :n] = A_eq
+    T[:n_slack, :n] = A
+    T[n_slack, :n] = 1.0
     T[np.arange(n_slack), n + np.arange(n_slack)] = 1.0
-    T[:m, -1] = b
-    T[flipped, :n_real] *= -1.0
-    T[flipped, -1] *= -1.0
-    basis_arr = n + np.arange(m)
-    basis_arr[need_art] = n_real + np.arange(n_art)
-    T[need_art, basis_arr[need_art]] = 1.0
-    basis = basis_arr.tolist()
+    T[:n_slack, -1] = b
+    T[n_slack, -1] = 1.0
+    T[n_slack, n_real] = 1.0
+    basis = [*range(n, n_real), n_real]
 
-    # phase 1: minimize the artificial sum
-    if n_art:
-        T[-1, n_real:total] = 1.0
-        # one row at a time: a single summed subtraction would round differently
-        for i in need_art.tolist():
-            T[-1] -= T[i]
-        status = _run_phase(T, basis, n_real)
-        if status != "optimal" or -T[-1, -1] > 1e-7:
-            return LPResult("infeasible", None, None)
-        # pivot leftover artificials out of the basis where possible; a row
-        # with no real coefficients left is redundant and stays inert
-        for i in range(m):
-            if basis[i] >= n_real:
-                nonzero = np.flatnonzero(np.abs(T[i, :n_real]) > _TOL)
-                if nonzero.size:
-                    _pivot(T, basis, i, int(nonzero[0]))
+    # phase 1: minimize the artificial
+    T[-1, n_real] = 1.0
+    T[-1] -= T[n_slack]
+    _run_phase(T, basis, n_real)
+    if -T[-1, -1] > 1e-7:
+        return None
+    # pivot a leftover artificial out of the basis where possible; a row with
+    # no real coefficients left is redundant and stays inert
+    if n_real in basis:
+        i = basis.index(n_real)
+        nonzero = np.flatnonzero(np.abs(T[i, :n_real]) > _TOL)
+        if nonzero.size:
+            _pivot(T, basis, i, int(nonzero[0]))
 
-    # phase 2 on the true objective; artificial columns may not re-enter
+    # phase 2 on the true objective; the artificial column may not re-enter
     T[-1] = 0.0
     T[-1, :n] = c
     for i in range(m):
         if T[-1, basis[i]] != 0.0:
             T[-1] -= T[-1, basis[i]] * T[i]
-    status = _run_phase(T, basis, n_real)
-    if status != "optimal":
-        return LPResult(status, None, None)
+    _run_phase(T, basis, n_real)
     x = np.zeros(total, dtype=float)
     x[basis] = T[:m, -1]
-    return LPResult("optimal", x[:n], float(T[-1, -1] * -1.0))
+    return x[:n]

@@ -43,6 +43,10 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
 - the `design.optimize_design(t, d).to_dict()` of every t = 1..4 and
   d = 2..32, as json, with the `Infeasible` message in place of the one
   pair that has none, (1, 2);
+- the solution of every LP those designs solve (uncached, through
+  `design.optimize_design.__wrapped__`), in call order: the bytes of each
+  `design.simplex_solve` result's x as hex, or null where the LP is
+  infeasible, with the number of solves;
 - at t = 4, lines marked `t=4`: the first four digests and the sampled
   graphs of runs at the desk point (N = 2^16, K = 100, d = 2, margin 1.5;
   3 trials each, seeds 1-6) and the dense point (N = 2^20, K = 10^4, d = 2,
@@ -54,7 +58,8 @@ blocks here, and a tree whose graph keeps the incidence as `left_node` and
 `left_pos` has them read from there instead of from the flat indices
 `left_slot`, so trees on either side of either change give the same digests;
 likewise a tree whose `TestPlan` takes the signature, not t, is handed
-`codec.build_signature(t, r)`.
+`codec.build_signature(t, r)`, and a tree whose `simplex_solve` returns a
+result object has its x read from there.
 pytest does not collect this file.
 """
 
@@ -288,19 +293,40 @@ def main():
 
     print(_outcome_line(_syndrome_outcomes(CODES)))
 
-    designs = []
-    for t in range(1, 5):
-        for d in range(2, 33):
-            try:
-                designs.append(json.dumps(design.optimize_design(t, d).to_dict()))
-            except design.Infeasible as exc:
-                designs.append(str(exc))
+    designs, solutions = _designs_and_lp_solutions()
     digest = hashlib.sha256(json.dumps(designs).encode()).hexdigest()
     print(f"designs ({len(designs)}): {digest}")
 
     for line in _trial_lines((DESK4, DENSE4), prefix="t=4 "):
         print(line)
     print("t=4 " + _outcome_line(_syndrome_outcomes(CODES4)))
+    digest = hashlib.sha256(json.dumps(solutions).encode()).hexdigest()
+    print(f"LP solutions ({len(solutions)} solves, {solutions.count(None)} infeasible): {digest}")
+
+
+def _designs_and_lp_solutions() -> tuple[list, list]:
+    """The design of every t = 1..4, d = 2..32, and the solution of every LP
+    solved on the way, None where it is infeasible."""
+    designs, solutions = [], []
+    real_solve = design.simplex_solve
+
+    def spy_solve(*args, **kwargs):
+        res = real_solve(*args, **kwargs)
+        x = getattr(res, "x", res)
+        solutions.append(None if x is None else x.tobytes().hex())
+        return res
+
+    design.simplex_solve = spy_solve
+    try:
+        for t in range(1, 5):
+            for d in range(2, 33):
+                try:
+                    designs.append(json.dumps(design.optimize_design.__wrapped__(t, d).to_dict()))
+                except design.Infeasible as exc:
+                    designs.append(str(exc))
+    finally:
+        design.simplex_solve = real_solve
+    return designs, solutions
 
 
 def _outcome_line(outcomes) -> str:

@@ -1,15 +1,28 @@
 """Scalar reference copy of the row-by-row simplex in qgt.simplex.
 
-The library solver does the same arithmetic with array operations.  The
-differential tests in test_simplex.py require it to take the same pivots
-and return the same bits as this loop version.
+The library solver does the same arithmetic with array operations, on the
+one LP shape the design poses.  This copy stays general: it solves
+min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, flipping rows with
+a negative right-hand side.  The differential tests in test_simplex.py hand
+it the library's shape, its inequalities and the one row sum(x) = 1, and
+require the library to take the same pivots and return the same bits as
+this loop version.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from qgt.simplex import _TOL, LPResult
+from qgt.simplex import _TOL
+
+
+@dataclass
+class LPResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: np.ndarray | None
+    objective: float | None
 
 
 def _pivot(T, basis, row, col):
