@@ -73,48 +73,6 @@ def _pois_upper(t: int, x):
     return np.clip(out, 0.0, 1.0)
 
 
-def _solve_profile(t, d, load, start):
-    """Best profile at a fixed load: min -load * sum_i lambda_i / i subject to
-    one contraction constraint, with margin DE_MARGIN, per point of
-    DEFAULT_PHI_GRID.
-
-    Only a handful of grid constraints bind at the optimum, so the LP is
-    solved on a growing active subset, started from the grid rows start, and
-    the result is certified against the full grid before being returned.
-    Returns the profile, its objective and the rows that bind at the optimum
-    (slack within BIND_TOL of the limit).  Raises Infeasible when no profile
-    contracts at this load.
-    """
-    # A pool correcting a single error cannot separate two items that share
-    # both of their pools.  With M proportional to K there are order-one such
-    # degree-2 collisions per instance, each of which stalls the decoder, so
-    # mass on degree 2 is only usable when t >= 2.  The asymptotic recursion
-    # cannot see this: it would happily mix in degree 2 at t = 1.
-    lo = 3 if t == 1 else 2
-    grid = DEFAULT_PHI_GRID
-    unresolved = _pois_upper(t, load * grid)
-    # rows scaled by 1/phi: sum_i lambda_i * u^(i-1) / phi <= 1 - margin
-    powers = np.arange(lo - 1, d, dtype=float)  # i - 1 for i = lo..d
-    A_full = unresolved[:, None] ** powers[None, :] / grid[:, None]
-    limit = 1.0 - DE_MARGIN
-    cost = -load / np.arange(lo, d + 1, dtype=float)
-
-    active = list(dict.fromkeys(start))
-    for _ in range(60):
-        x = simplex_solve(cost, A_full[active], np.full(len(active), limit))
-        if x is None:
-            raise Infeasible(f"no contracting profile at load {load:.4f} (t={t}, d={d})")
-        slack = A_full @ x - limit
-        worst = np.argsort(slack)[-4:]
-        violated = [int(g) for g in worst if slack[g] > 1e-9 and g not in active]
-        if not violated:
-            lam = np.zeros(d)
-            lam[lo - 1 :] = x
-            return profile_from_lambda(d, lam), float(cost @ x), np.flatnonzero(slack >= -BIND_TOL).tolist()
-        active.extend(violated)
-    raise RuntimeError("active-set loop did not converge")
-
-
 @dataclass
 class DesignResult:
     """Optimized profile for one (t, d) pair.
@@ -143,20 +101,48 @@ class DesignResult:
 
 
 def _objective_at(t, d, load, seed=None):
-    """(f, profile) of the LP at load, (inf, None) where it is infeasible.
+    """(f, profile) of the best profile at load, (inf, None) where no profile
+    contracts there.
 
-    Without seed the LP starts cold.  seed is a list of grid rows: the LP
-    starts from the end rows plus these, and a feasible solve replaces them
-    with the rows that bind at its optimum, to start the next LP from.
+    The LP is min f = -load * sum_i lambda_i / i subject to one contraction
+    constraint, with margin DE_MARGIN, per point of DEFAULT_PHI_GRID.  Only a
+    handful of grid constraints bind at the optimum, so it is solved on a
+    growing active subset of the grid rows and certified against the full
+    grid.  Without seed the subset starts cold.  seed is a list of grid rows:
+    the subset starts from the end rows plus these, and a feasible solve
+    replaces them with the rows that bind at its optimum (slack within
+    BIND_TOL of the limit), to start the next LP from.
     """
-    try:
-        if seed is None:
-            profile, f, _ = _solve_profile(t, d, load, start=_COLD_ROWS)
-        else:
-            profile, f, seed[:] = _solve_profile(t, d, load, [*_EDGE_ROWS, *seed])
-    except Infeasible:
-        return math.inf, None
-    return f, profile
+    # A pool correcting a single error cannot separate two items that share
+    # both of their pools.  With M proportional to K there are order-one such
+    # degree-2 collisions per instance, each of which stalls the decoder, so
+    # mass on degree 2 is only usable when t >= 2.  The asymptotic recursion
+    # cannot see this: it would happily mix in degree 2 at t = 1.
+    lo = 3 if t == 1 else 2
+    grid = DEFAULT_PHI_GRID
+    unresolved = _pois_upper(t, load * grid)
+    # rows scaled by 1/phi: sum_i lambda_i * u^(i-1) / phi <= 1 - margin
+    powers = np.arange(lo - 1, d, dtype=float)  # i - 1 for i = lo..d
+    A_full = unresolved[:, None] ** powers[None, :] / grid[:, None]
+    limit = 1.0 - DE_MARGIN
+    cost = -load / np.arange(lo, d + 1, dtype=float)
+
+    active = list(dict.fromkeys(_COLD_ROWS if seed is None else [*_EDGE_ROWS, *seed]))
+    for _ in range(60):
+        x = simplex_solve(cost, A_full[active], np.full(len(active), limit))
+        if x is None:
+            return math.inf, None
+        slack = A_full @ x - limit
+        worst = np.argsort(slack)[-4:]
+        violated = [int(g) for g in worst if slack[g] > 1e-9 and g not in active]
+        if not violated:
+            if seed is not None:
+                seed[:] = np.flatnonzero(slack >= -BIND_TOL).tolist()
+            lam = np.zeros(d)
+            lam[lo - 1 :] = x
+            return float(cost @ x), profile_from_lambda(d, lam)
+        active.extend(violated)
+    raise RuntimeError("active-set loop did not converge")
 
 
 def _grid_load(i: int) -> float:

@@ -37,21 +37,13 @@ def _leaving_row(col, rhs, basis):
     """Bland ratio test: the row of least rhs/col over col > _TOL, where
     ratios within _TOL of the running best go to the lower basic index.
 
-    The running best can drift within the tolerance, so ties are settled by
-    the sequential scan.  When the minimum is isolated (every other ratio r
-    has min < r - _TOL and |r - min| > _TOL, the two tests the scan makes)
-    the scan provably ends on it and is skipped.
+    The running best can drift within the tolerance, so the rows are scanned
+    in order, on Python floats.
     """
     cand = (col > _TOL).nonzero()[0]
     if cand.size == 0:
         return None
     ratios = rhs[cand] / col[cand]
-    k = int(ratios.argmin())
-    r_min = ratios[k]
-    isolated = (r_min < ratios - _TOL) & (np.abs(ratios - r_min) > _TOL)
-    isolated[k] = True
-    if r_min == r_min and isolated.all():
-        return int(cand[k])
     best = None
     for i, ratio in zip(cand.tolist(), ratios.tolist()):
         if best is None or ratio < best[0] - _TOL or (
@@ -106,13 +98,12 @@ def simplex_solve(c, A, b) -> np.ndarray | None:
     _run_phase(T, basis, n_real)
     if -T[-1, -1] > 1e-7:
         return None
-    # pivot a leftover artificial out of the basis where possible; a row with
-    # no real coefficients left is redundant and stays inert
+    # pivot a leftover artificial out of the basis; its row is the sum row
+    # plus sum_j a_j * (inequality row j), so its slack entries are the a_j
+    # and its x entries are all 1 if every a_j is 0: a real entry is nonzero
     if n_real in basis:
         i = basis.index(n_real)
-        nonzero = np.flatnonzero(np.abs(T[i, :n_real]) > _TOL)
-        if nonzero.size:
-            _pivot(T, basis, i, int(nonzero[0]))
+        _pivot(T, basis, i, int(np.flatnonzero(np.abs(T[i, :n_real]) > _TOL)[0]))
 
     # phase 2 on the true objective; the artificial column may not re-enter
     T[-1] = 0.0

@@ -47,6 +47,8 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
   `design.optimize_design.__wrapped__`), in call order: the bytes of each
   `design.simplex_solve` result's x as hex, or null where the LP is
   infeasible, with the number of solves;
+- every `(row, col)` handed to `simplex._pivot` over that same sweep, in
+  call order, with the number of pivots;
 - at t = 4, lines marked `t=4`: the first four digests and the sampled
   graphs of runs at the desk point (N = 2^16, K = 100, d = 2, margin 1.5;
   3 trials each, seeds 1-6) and the dense point (N = 2^20, K = 10^4, d = 2,
@@ -77,7 +79,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qgt import bch, codec, design, graphs, sim  # noqa: E402
+from qgt import bch, codec, design, graphs, sim, simplex  # noqa: E402
 
 DESK = (2**16, 100, [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)], 3, range(1, 7))
 DENSE = (2**20, 10**4, [(3, 2, 1.5)], 1, range(1, 5))
@@ -293,7 +295,7 @@ def main():
 
     print(_outcome_line(_syndrome_outcomes(CODES)))
 
-    designs, solutions = _designs_and_lp_solutions()
+    designs, solutions, pivots = _designs_lp_solutions_and_pivots()
     digest = hashlib.sha256(json.dumps(designs).encode()).hexdigest()
     print(f"designs ({len(designs)}): {digest}")
 
@@ -302,13 +304,16 @@ def main():
     print("t=4 " + _outcome_line(_syndrome_outcomes(CODES4)))
     digest = hashlib.sha256(json.dumps(solutions).encode()).hexdigest()
     print(f"LP solutions ({len(solutions)} solves, {solutions.count(None)} infeasible): {digest}")
+    digest = hashlib.sha256(json.dumps(pivots).encode()).hexdigest()
+    print(f"LP pivots ({len(pivots)}): {digest}")
 
 
-def _designs_and_lp_solutions() -> tuple[list, list]:
-    """The design of every t = 1..4, d = 2..32, and the solution of every LP
-    solved on the way, None where it is infeasible."""
-    designs, solutions = [], []
-    real_solve = design.simplex_solve
+def _designs_lp_solutions_and_pivots() -> tuple[list, list, list]:
+    """The design of every t = 1..4, d = 2..32, the solution of every LP
+    solved on the way, None where it is infeasible, and every simplex pivot
+    as its (row, col)."""
+    designs, solutions, pivots = [], [], []
+    real_solve, real_pivot = design.simplex_solve, simplex._pivot
 
     def spy_solve(*args, **kwargs):
         res = real_solve(*args, **kwargs)
@@ -316,7 +321,11 @@ def _designs_and_lp_solutions() -> tuple[list, list]:
         solutions.append(None if x is None else x.tobytes().hex())
         return res
 
-    design.simplex_solve = spy_solve
+    def spy_pivot(T, basis, row, col):
+        pivots.append((int(row), int(col)))
+        real_pivot(T, basis, row, col)
+
+    design.simplex_solve, simplex._pivot = spy_solve, spy_pivot
     try:
         for t in range(1, 5):
             for d in range(2, 33):
@@ -325,8 +334,8 @@ def _designs_and_lp_solutions() -> tuple[list, list]:
                 except design.Infeasible as exc:
                     designs.append(str(exc))
     finally:
-        design.simplex_solve = real_solve
-    return designs, solutions
+        design.simplex_solve, simplex._pivot = real_solve, real_pivot
+    return designs, solutions, pivots
 
 
 def _outcome_line(outcomes) -> str:

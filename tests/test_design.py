@@ -126,7 +126,7 @@ def test_trajectory_node_perspective_relation():
 
 
 def test_lp_profile_single_degree_when_d3_t1():
-    profile, f, _ = design._solve_profile(1, 3, 2.0, design._COLD_ROWS)
+    f, profile = design._objective_at(1, 3, 2.0)
     assert profile.lam.tolist() == pytest.approx([0.0, 0.0, 1.0])
     assert f == pytest.approx(-2.0 / 3.0)
 
@@ -134,7 +134,7 @@ def test_lp_profile_single_degree_when_d3_t1():
 def test_lp_profile_matches_scipy_reference():
     # same grid, same margin, independent solver
     t, d, load = 2, 6, 4.0
-    profile, f, _ = design._solve_profile(t, d, load, design._COLD_ROWS)
+    f, profile = design._objective_at(t, d, load)
     u = _pois_upper(t, load * DEFAULT_PHI_GRID)
     powers = np.arange(1, d)
     A = u[:, None] ** powers[None, :] / DEFAULT_PHI_GRID[:, None]
@@ -152,13 +152,12 @@ def test_lp_profile_matches_scipy_reference():
 
 
 def test_lp_infeasible_above_threshold():
-    with pytest.raises(Infeasible):
-        design._solve_profile(1, 3, 5.0, design._COLD_ROWS)
+    assert design._objective_at(1, 3, 5.0) == (math.inf, None)
 
 
 def test_lp_feasible_profile_certificate():
     t, d, load = 2, 8, 4.5
-    profile, _, _ = design._solve_profile(t, d, load, design._COLD_ROWS)
+    _, profile = design._objective_at(t, d, load)
     u = _pois_upper(t, load * DEFAULT_PHI_GRID)
     lhs = np.zeros_like(DEFAULT_PHI_GRID)
     for i in range(2, d + 1):
@@ -168,7 +167,7 @@ def test_lp_feasible_profile_certificate():
 
 def test_lp_beats_feasible_single_degree_profiles():
     t, d, load = 2, 8, 4.5
-    _, f_star, _ = design._solve_profile(t, d, load, design._COLD_ROWS)
+    f_star, _ = design._objective_at(t, d, load)
     u = _pois_upper(t, load * DEFAULT_PHI_GRID)
     for i in range(2, d + 1):
         feasible = (u ** (i - 1) <= (1.0 - DE_MARGIN) * DEFAULT_PHI_GRID).all()

@@ -124,6 +124,7 @@ def test_bit_identical_to_scalar_oracle(monkeypatch):
     monkeypatch.setattr(simplex, "_leaving_row", counting_leaving_row)
     rng = np.random.default_rng(7)
     outcomes = {"optimal": 0, "infeasible": 0}
+    pivoted_out = 0
     for trial in range(400):
         c, A, b = _random_lp(rng, trial)
         mine_log.clear()
@@ -131,6 +132,13 @@ def test_bit_identical_to_scalar_oracle(monkeypatch):
         mine = simplex_solve(c, A, b)
         ref = scalar_simplex.simplex_solve(c, A, b, *_sum_row(c.size))
         assert mine_log == ref_log, trial
+        # a feasible LP whose artificial, column n + m, is still basic after
+        # phase 1 pivots it out on its row next
+        end1 = next(k for k, entry in enumerate(mine_log) if entry[0] == "phase")
+        basis1, art = mine_log[end1][1], c.size + len(A)
+        if ref.status == "optimal" and art in basis1:
+            assert mine_log[end1 + 1][:2] == ("pivot", basis1.index(art)), trial
+            pivoted_out += 1
         if ref.status == "optimal":
             assert mine.tobytes() == ref.x.tobytes(), trial
         else:
@@ -139,6 +147,8 @@ def test_bit_identical_to_scalar_oracle(monkeypatch):
     assert min(outcomes.values()) > 0, outcomes
     # tied ratio tests must be common enough to exercise the sequential scan
     assert sum(ties) > 50, (sum(ties), len(ties))
+    # the artificial pivot-out must run, since nothing guards it
+    assert pivoted_out > 0, pivoted_out
 
 
 @pytest.mark.parametrize("seed", range(40))
