@@ -115,8 +115,8 @@ def cmd_gen(args):
 def cmd_encode(args):
     plan = codec.TestPlan.from_dict(_load_json(args.plan))
     support = codec.SupportVector.from_dict(_load_json(args.support))
-    if support.N != plan.N:
-        raise FileError(f"support is over N={support.N}, plan over N={plan.N}")
+    if support.N != plan.graph.N:
+        raise FileError(f"support is over N={support.N}, plan over N={plan.graph.N}")
     results = codec.encode(plan, support)
     _emit(json.dumps(results.to_dict()), args.out)
 
@@ -127,9 +127,7 @@ def cmd_decode(args):
         f"--max-iterations {args.max_iterations} must be at least 1",
     )
     plan = codec.TestPlan.from_dict(_load_json(args.plan))
-    results = codec.TestResults.from_dict(
-        _load_json(args.results), plan.M, plan.signature.s
-    )
+    results = codec.TestResults.from_dict(_load_json(args.results), plan.graph.M, plan.signature.matrix.shape[0])
     outcome = codec.peel_decode(plan, results, max_iterations=args.max_iterations)
     _emit(json.dumps(outcome.to_dict(), indent=2), args.out)
     if outcome.stalled or outcome.failed_nodes:

@@ -48,14 +48,12 @@ def _check_version(version, expected: int, kind: str):
         raise FormatError(f"unknown {kind} format version {version!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignatureMatrix:
-    """All-ones counting row stacked on the BCH parity rows; int64, shape (s, r), read-only."""
+    """All-ones counting row stacked on the BCH parity rows; int64, shape (s, r),
+    read-only.  The parity matrix holds t, q and r.  Signatures compare and
+    hash by identity, as build_signature shares one per (t, r)."""
 
-    t: int
-    q: int
-    s: int
-    r: int
     matrix: np.ndarray = field(repr=False)
     parity: ParityCheckMatrix = field(repr=False)
 
@@ -67,7 +65,7 @@ class SignatureMatrix:
         W = (r + t + 1).bit_length(), which holds every residual entry the
         peeler compares (see peel_decode)."""
         cols = self.matrix[1:].T
-        width = (self.r + self.t + 1).bit_length()
+        width = (self.parity.r + self.parity.t + 1).bit_length()
         return _pack_rows(cols, 1), _pack_rows(cols, width), width
 
 
@@ -97,7 +95,7 @@ def build_signature(t: int, r: int) -> SignatureMatrix:
     pcm = build_parity_check(t, r)
     mat = np.vstack([np.ones((1, r), dtype=np.int64), pcm.rows.astype(np.int64)])
     mat.flags.writeable = False
-    return SignatureMatrix(t=t, q=pcm.q, s=tests_per_pool(t, r), r=r, matrix=mat, parity=pcm)
+    return SignatureMatrix(matrix=mat, parity=pcm)
 
 
 class TestPlan:
@@ -108,26 +106,15 @@ class TestPlan:
         self.signature = build_signature(t, graph.r)
         self.seed = seed
 
-    @property
-    def N(self) -> int:
-        return self.graph.N
-
-    @property
-    def M(self) -> int:
-        return self.graph.M
-
-    @property
-    def r(self) -> int:
-        return self.graph.r
-
     def to_dict(self) -> dict:
+        g, pcm = self.graph, self.signature.parity
         return {
             "version": PLAN_FORMAT_VERSION,
-            "N": self.N,
-            "M": self.M,
-            "r": self.r,
-            "t": self.signature.t,
-            "q": self.signature.q,
+            "N": g.N,
+            "M": g.M,
+            "r": g.r,
+            "t": pcm.t,
+            "q": pcm.q,
             "seed": self.seed,
             "right_adj": self.graph.right_adj.tolist(),
         }
@@ -198,18 +185,13 @@ class SupportVector:
 
 @dataclass
 class TestResults:
-    """Flat length-m measurement vector, viewed as M blocks of s entries."""
+    """The m = M * s measurements as M blocks of s entries, shape (M, s);
+    a file holds them flat, block by block."""
 
-    M: int
-    s: int
-    values: np.ndarray
-
-    @property
-    def blocks(self) -> np.ndarray:
-        return self.values.reshape(self.M, self.s)
+    blocks: np.ndarray
 
     def to_dict(self) -> dict:
-        return {"version": 1, "values": self.values.tolist()}
+        return {"version": 1, "values": self.blocks.ravel().tolist()}
 
     @classmethod
     def from_dict(cls, data: dict, M: int, s: int) -> "TestResults":
@@ -223,7 +205,7 @@ class TestResults:
             raise FormatError(f"expected {M * s} measurements, got {values.size}")
         if (values < 0).any():
             raise FormatError("negative measurement value")
-        return cls(M=M, s=s, values=values)
+        return cls(values.reshape(M, s))
 
 
 @dataclass
@@ -250,17 +232,17 @@ class DecodeOutcome:
 def encode(plan: TestPlan, support: SupportVector) -> TestResults:
     """Measurement blocks: per pool, the sum of its defective members' columns,
     each item's pools and positions split from its flat indices in left_slot."""
-    if support.N != plan.N:
+    if support.N != plan.graph.N:
         raise ValueError("support universe does not match plan")
     g, sig = plan.graph, plan.signature
-    Y = np.zeros((g.M, sig.s), dtype=np.int64)
+    Y = np.zeros((g.M, sig.matrix.shape[0]), dtype=np.int64)
     if support.items.size:
         lo = g.left_ptr[support.items]
         deg = g.left_ptr[support.items + 1] - lo
         csr = np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
         pools, positions = np.divmod(g.left_slot[csr], g.r)
         np.add.at(Y, pools, sig.matrix.T[positions])
-    return TestResults(M=g.M, s=sig.s, values=Y.ravel())
+    return TestResults(Y)
 
 
 def peel_decode(plan: TestPlan, results: TestResults, max_iterations: int | None = None) -> DecodeOutcome:
@@ -290,12 +272,12 @@ def peel_decode(plan: TestPlan, results: TestResults, max_iterations: int | None
     account for the whole residual block, is one comparison of ints.
     """
     g, sig = plan.graph, plan.signature
-    M, s, t, q = g.M, sig.s, sig.t, sig.q
-    if results.M != M or results.s != s:
+    pcm = sig.parity
+    M, t, q = g.M, pcm.t, pcm.q
+    if results.blocks.shape != (M, sig.matrix.shape[0]):
         raise ValueError("results shape does not match plan")
     if max_iterations is None:
         max_iterations = M + 1
-    pcm = sig.parity
     col_parity, col_code, width = sig.packed_columns
     shifts = range(0, t * q, q)
     low = (1 << q) - 1

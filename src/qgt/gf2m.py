@@ -47,12 +47,12 @@ PRIMITIVE_POLYS = {
     20: 0b100000000000000001001,
 }
 
-MIN_DEGREE = 2
-MAX_DEGREE = 20
+MAX_DEGREE = max(PRIMITIVE_POLYS)
 
 
 class FieldContext:
-    """GF(2^q) together with its log and antilog tables.
+    """GF(2^q), defined by PRIMITIVE_POLYS[q], together with its log and
+    antilog tables.
 
     Attributes
     ----------
@@ -68,9 +68,10 @@ class FieldContext:
         log[x] = discrete log of x for 1 <= x < 2^q, and -1 at index 0.
     """
 
-    def __init__(self, q: int, primitive_poly: int):
-        if not MIN_DEGREE <= q <= MAX_DEGREE:
-            raise ValueError(f"extension degree {q} outside [{MIN_DEGREE}, {MAX_DEGREE}]")
+    def __init__(self, q: int):
+        if q not in PRIMITIVE_POLYS:
+            raise ValueError(f"no primitive polynomial on file for degree {q}")
+        primitive_poly = PRIMITIVE_POLYS[q]
         if primitive_poly >> q != 1:
             raise ValueError(f"polynomial 0x{primitive_poly:x} does not have degree {q}")
         self.q = q
@@ -134,6 +135,4 @@ class FieldContext:
 @lru_cache(maxsize=None)
 def make_field(q: int) -> FieldContext:
     """Build (and cache) the GF(2^q) context for 2 <= q <= 20."""
-    if q not in PRIMITIVE_POLYS:
-        raise ValueError(f"no primitive polynomial on file for degree {q}")
-    return FieldContext(q, PRIMITIVE_POLYS[q])
+    return FieldContext(q)

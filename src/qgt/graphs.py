@@ -41,6 +41,8 @@ def profile_from_lambda(d: int, lam) -> DegreeProfile:
     arr = np.asarray(lam, dtype=float).copy()
     if arr.shape != (d,):
         raise ValueError(f"profile length {arr.shape} does not match d={d}")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite profile entry")
     arr[(arr < 0) & (arr > -1e-11)] = 0.0
     if (arr < 0).any():
         raise ValueError("negative profile entry")
@@ -49,10 +51,7 @@ def profile_from_lambda(d: int, lam) -> DegreeProfile:
         raise ValueError(f"profile sums to {total}, not 1")
     arr /= total
     degrees = np.arange(1, d + 1, dtype=float)
-    inv_avg = float((arr / degrees).sum())
-    if inv_avg <= 0:
-        raise ValueError("profile has no mass")
-    avg = 1.0 / inv_avg
+    avg = 1.0 / float((arr / degrees).sum())
     node = (arr / degrees) * avg
     return DegreeProfile(d=d, lam=arr, avg_degree=avg, node_probs=node)
 
@@ -124,18 +123,11 @@ class BipartiteGraph:
 def _repair_degrees(degs: np.ndarray, target: int, d: int, rng) -> np.ndarray:
     diff = target - int(degs.sum())
     while diff != 0:
-        if diff > 0:
-            cand = np.flatnonzero(degs < d)
-            take = min(diff, cand.size)
-            picks = rng.choice(cand, size=take, replace=False)
-            degs[picks] += 1
-            diff -= take
-        else:
-            cand = np.flatnonzero(degs > 1)
-            take = min(-diff, cand.size)
-            picks = rng.choice(cand, size=take, replace=False)
-            degs[picks] -= 1
-            diff += take
+        step = 1 if diff > 0 else -1
+        cand = np.flatnonzero(degs < d if step > 0 else degs > 1)
+        take = min(abs(diff), cand.size)
+        degs[rng.choice(cand, size=take, replace=False)] += step
+        diff -= step * take
     return degs
 
 

@@ -12,8 +12,7 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
 
 - the `DecodeOutcome.to_dict` of each run's first trial,
 - the `DecodeOutcome.iterations` of every trial of every run, in order,
-- each run's report, without the `wall_time` and `mean_iterations` fields
-  that older trees carry,
+- each run's report,
 - every `codec.syndrome_decode` call, as its weight and its t syndrome
   blocks in order,
 - every sampled graph, as its sizes, `right_adj`, `left_ptr` and its left
@@ -55,13 +54,6 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
   margin 1.5; 1 trial, seeds 1-2), and the syndrome decoder outcomes, as
   above, at the codes (t, r) = (4, 474), (4, 4095) and (4, 65535).
 
-A tree whose decoder still takes the t*q syndrome bits has them packed into
-blocks here, and a tree whose graph keeps the incidence as `left_node` and
-`left_pos` has them read from there instead of from the flat indices
-`left_slot`, so trees on either side of either change give the same digests;
-likewise a tree whose `TestPlan` takes the signature, not t, is handed
-`codec.build_signature(t, r)`, and a tree whose `simplex_solve` returns a
-result object has its x read from there.
 pytest does not collect this file.
 """
 
@@ -70,7 +62,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -90,28 +81,8 @@ DENSE4 = (2**20, 10**4, [(4, 2, 1.5)], 1, range(1, 3))
 CODES4 = [(4, 474), (4, 4095), (4, 65535)]  # odd and even q: 9, 12 and 16
 
 
-def _blocks(pcm, syndrome) -> list[int]:
-    if len(syndrome) == pcm.t:
-        return [int(b) for b in syndrome]
-    bits = np.asarray(syndrome, dtype=np.int64) & 1
-    return (bits.reshape(pcm.t, pcm.q) @ (1 << np.arange(pcm.q, dtype=np.int64))).tolist()
-
-
-def _incidence(graph):
-    if hasattr(graph, "left_node"):
-        return graph.left_node, graph.left_pos
-    return np.divmod(graph.left_slot, graph.r)
-
-
-def _plan(graph, t, seed=None):
-    """This tree's TestPlan of capability t on graph."""
-    if "signature" in inspect.signature(codec.TestPlan).parameters:
-        return codec.TestPlan(graph, codec.build_signature(t, graph.r), seed=seed)
-    return codec.TestPlan(graph, t, seed=seed)
-
-
 def _digest_graph(digest, g):
-    for a in [(g.N, g.M, g.r), g.right_adj, g.left_ptr, *_incidence(g)]:
+    for a in [(g.N, g.M, g.r), g.right_adj, g.left_ptr, *np.divmod(g.left_slot, g.r)]:
         digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
 
 
@@ -185,14 +156,13 @@ def _inconsistent_decodes() -> list:
         res = design.optimize_design(t, d)
         sizes = design.make_plan(N, K, res, margin=margin)
         for seed in (1, 2, 3):
-            plan = _plan(graphs.sample_graph(N, sizes.M, sizes.r, res.profile, seed), t)
+            plan = codec.TestPlan(graphs.sample_graph(N, sizes.M, sizes.r, res.profile, seed), t)
             blocks = codec.encode(plan, sim.sample_support(N, K / N, seed)).blocks
             raised, huge = blocks.copy(), blocks.copy()
             raised[:, 1] += 2 * (raised[:, 0] // 2 + 1)
             huge[seed] = 2**62
             for tampered in (raised, huge):
-                results = codec.TestResults(M=plan.M, s=plan.signature.s, values=tampered.ravel())
-                out.append(codec.peel_decode(plan, results).to_dict())
+                out.append(codec.peel_decode(plan, codec.TestResults(tampered)).to_dict())
     return out
 
 
@@ -204,7 +174,8 @@ def _plan_round_trips() -> list:
     for t, d, margin in points:
         res = design.optimize_design(t, d)
         sizes = design.make_plan(N, K, res, margin=margin)
-        text = json.dumps(_plan(graphs.sample_graph(N, sizes.M, sizes.r, res.profile, 1), t, seed=1).to_dict())
+        graph = graphs.sample_graph(N, sizes.M, sizes.r, res.profile, 1)
+        text = json.dumps(codec.TestPlan(graph, t, seed=1).to_dict())
         plan = codec.TestPlan.from_dict(json.loads(text))
         results = codec.encode(plan, sim.sample_support(N, K / N, 1))
         out += [text, plan.to_dict(), results.to_dict(), codec.peel_decode(plan, results).to_dict()]
@@ -219,7 +190,7 @@ def _recorded_decodes():
     real_decode = codec.syndrome_decode
 
     def spy_decode(pcm, syndrome, w):
-        calls.append((w, _blocks(pcm, syndrome)))
+        calls.append((w, list(syndrome)))
         return real_decode(pcm, syndrome, w)
 
     codec.syndrome_decode = spy_decode
@@ -260,8 +231,7 @@ def _trial_lines(point_sets, prefix="") -> list[str]:
                     outcomes.clear()
                     rep = sim.run_plan_trials(N, K, t, res.profile, plan.M, plan.r, trials, seed)
                     first.append(outcomes[0])
-                    old_fields = ("wall_time", "mean_iterations")
-                    reports.append({k: v for k, v in dataclasses.asdict(rep).items() if k not in old_fields})
+                    reports.append(dataclasses.asdict(rep))
     sim.peel_decode, sim.sample_graph = real_peel, real_sample
 
     lines = []
@@ -316,10 +286,9 @@ def _designs_lp_solutions_and_pivots() -> tuple[list, list, list]:
     real_solve, real_pivot = design.simplex_solve, simplex._pivot
 
     def spy_solve(*args, **kwargs):
-        res = real_solve(*args, **kwargs)
-        x = getattr(res, "x", res)
+        x = real_solve(*args, **kwargs)
         solutions.append(None if x is None else x.tobytes().hex())
-        return res
+        return x
 
     def spy_pivot(T, basis, row, col):
         pivots.append((int(row), int(col)))

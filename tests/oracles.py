@@ -477,8 +477,8 @@ def peel_decode_stepwise(
     blocks after each pass.
     """
     g, sig = plan.graph, plan.signature
-    M, s, t = g.M, sig.s, sig.t
-    if results.M != M or results.s != s:
+    M, s, t = g.M, sig.matrix.shape[0], sig.parity.t
+    if results.blocks.shape != (M, s):
         raise ValueError("results shape does not match plan")
     if max_iterations is None:
         max_iterations = M + 1

@@ -16,12 +16,10 @@ themselves.  LAYER is one of
   that weight and 1 in 4 on random blocks; the weight must lie in 1..t
   of the point, and the default of 2 needs `--point` at t >= 2;
 - `encode`: one `codec.encode` of a sampled support, each tree on its own
-  plan built from the same adjacency;
+  plan built from the same adjacency, compared as the results' `to_dict()`;
 - `peel_decode`: one `codec.peel_decode` of a sampled support's
   measurements, each tree on its own plan built from the same adjacency;
 - `trial`: one `sim.run_plan_trials` trial, as the Monte Carlo runs it;
-  its report is compared without the `wall_time` and `mean_iterations`
-  fields that older trees carry;
 - `optimize_design`: the 16 rows of `qgt tables --t 2` (d = 2..17), each
   a cold `design.optimize_design.__wrapped__` call, compared as their
   `to_dict()` JSON; the point and the seed do not enter.
@@ -36,9 +34,7 @@ outputs are equal; one untimed call per tree, on the inputs of the seed
 after the last pair's, runs first and fills the lazy caches.  It prints
 each pair, then the median time of each tree, the median of the per-pair
 ratios this/other and the number of pairs this tree won; `--json` prints
-the same as one JSON object.  Each tree's plans come from its own
-`TestPlan`: one that takes the signature, not t, is handed
-`codec.build_signature(t, r)`.  pytest does not collect this file.
+the same as one JSON object.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ import dataclasses
 import gc
 import importlib
 import importlib.util
-import inspect
 import json
 import statistics
 import sys
@@ -104,8 +99,6 @@ def make_plan(tree: dict, point: Point, adj: np.ndarray):
     """The tree's TestPlan of the point's capability on this adjacency."""
     codec = tree["codec"]
     graph = tree["graphs"].BipartiteGraph(point.N, point.M, point.r, adj)
-    if "signature" in inspect.signature(codec.TestPlan).parameters:
-        return codec.TestPlan(graph, codec.build_signature(point.t, point.r))
     return codec.TestPlan(graph, point.t)
 
 
@@ -178,7 +171,7 @@ def prepare(layer: str, point: Point, trees: dict, seed: int, weight: int) -> di
             plan = make_plan(tr, point, adj)
             support = codec.SupportVector(N=point.N, items=items)
             if layer == "encode":
-                calls[k] = lambda codec=codec, plan=plan, support=support: codec.encode(plan, support).values
+                calls[k] = lambda codec=codec, plan=plan, support=support: codec.encode(plan, support).to_dict()
                 continue
             results = codec.encode(plan, support)
             calls[k] = lambda codec=codec, plan=plan, results=results: codec.peel_decode(plan, results).to_dict()
@@ -186,18 +179,13 @@ def prepare(layer: str, point: Point, trees: dict, seed: int, weight: int) -> di
     if layer == "trial":
         return {
             k: (
-                lambda sim=tr["sim"]: _report_fields(
+                lambda sim=tr["sim"]: dataclasses.asdict(
                     sim.run_plan_trials(point.N, point.K, point.t, point.profile, point.M, point.r, 1, seed)
                 )
             )
             for k, tr in trees.items()
         }
     raise ValueError(f"unknown layer {layer!r}")
-
-
-def _report_fields(report) -> dict:
-    """A report's fields, without the wall time and mean iterations that older trees' reports carry."""
-    return {k: v for k, v in dataclasses.asdict(report).items() if k not in ("wall_time", "mean_iterations")}
 
 
 def _same(a, b) -> bool:

@@ -265,11 +265,11 @@ def test_criterion_7_exhaustive_oracle(report):
             mask = np.uint32(0)
             for i in adj[m]:
                 mask |= np.uint32(1 << int(i))
-            keep &= np.bitwise_count(xs & mask) == y.values[m * plan.signature.s]
+            keep &= np.bitwise_count(xs & mask) == y.blocks[m, 0]
         consistent = []
         for x in xs[keep]:
             items = np.flatnonzero([(int(x) >> i) & 1 for i in range(N)])
-            if np.array_equal(encode(plan, SupportVector(N=N, items=items)).values, y.values):
+            if np.array_equal(encode(plan, SupportVector(N=N, items=items)).blocks, y.blocks):
                 consistent.append(set(items.tolist()))
         ambiguous += len(consistent) != 1
         mismatches += bool(consistent) and consistent[0] != found

@@ -211,7 +211,7 @@ def test_root_tables_match_sweep_oracle(t, r, monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_root_tables_are_lazy_and_exact(q):
-    field = FieldContext(q, make_field(q).primitive_poly)
+    field = FieldContext(q)
     assert "quadratic_roots" not in vars(field) and "cubic_roots" not in vars(field)
     size, n = 1 << q, field.order
     quad, cubic = field.quadratic_roots, field.cubic_roots

@@ -58,7 +58,7 @@ def row_permutation(ours: np.ndarray, theirs: np.ndarray) -> list[int]:
 
 def test_signature_shape_and_counting_row():
     sig = build_signature(1, 7)
-    assert (sig.s, sig.r, sig.q) == (4, 7, 3)
+    assert (sig.parity.t, sig.parity.r, sig.parity.q) == (1, 7, 3)
     assert (sig.matrix[0] == 1).all()
     assert sig.matrix.shape == (4, 7)
 
@@ -66,6 +66,9 @@ def test_signature_shape_and_counting_row():
 def test_signature_built_once_per_t_and_r():
     assert build_signature(2, 9) is build_signature(2, 9)
     assert build_signature(2, 9) is not build_signature(1, 9)
+    # compared and hashed by identity, never through the matrix
+    assert build_signature(2, 9) != build_signature(1, 9) != build_signature(1, 7)
+    assert len({build_signature(2, 9), build_signature(2, 9), build_signature(1, 9)}) == 2
 
 
 def test_shared_signature_is_read_only():
@@ -73,13 +76,13 @@ def test_shared_signature_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         sig.matrix[0, 0] = 5
     with pytest.raises(AttributeError):
-        sig.t = 2
+        sig.parity = build_signature(2, 7).parity
     assert (sig.matrix[0] == 1).all()
 
 
 def test_plan_signature_is_the_shared_one():
     plan = example_plan()
-    assert plan.signature is build_signature(1, plan.r)
+    assert plan.signature is build_signature(1, plan.graph.r)
     assert TestPlan(plan.graph, 2).signature is build_signature(2, 7)
 
 
@@ -110,7 +113,7 @@ def test_encode_matches_materialized_matrix():
     p = profile_from_lambda(3, [0.0, 0.3, 0.7])
     g = sample_graph(40, 12, 9, p, seed=5)
     plan = TestPlan(g, 2)
-    s = plan.signature.s
+    s = plan.signature.matrix.shape[0]
     A = np.zeros((g.M * s, g.N), dtype=np.int64)
     for n in range(g.M):
         for pos, item in enumerate(g.right_adj[n]):
@@ -118,13 +121,13 @@ def test_encode_matches_materialized_matrix():
     for _ in range(20):
         x = (rng.random(40) < 0.1).astype(np.int64)
         res = encode(plan, SupportVector(40, np.flatnonzero(x)))
-        assert np.array_equal(res.values, A @ x)
+        assert np.array_equal(res.blocks.ravel(), A @ x)
 
 
 def test_encode_empty_support_and_mismatch():
     plan = example_plan()
     res = encode(plan, SupportVector(14, np.array([], dtype=np.int64)))
-    assert not res.values.any()
+    assert not res.blocks.any()
     out = peel_decode(plan, res)
     assert out.identified.size == 0
     assert out.iterations == 1
@@ -146,7 +149,7 @@ def test_decode_conservation_invariant():
 
     def check(i, Y, ident):
         partial = encode(plan, SupportVector(60, np.array(ident, dtype=np.int64)))
-        assert np.array_equal(Y.ravel() + partial.values, original.values)
+        assert np.array_equal(Y + partial.blocks, original.blocks)
 
     out = peel_decode_stepwise(plan, original, iteration_hook=check)
     assert set(out.identified.tolist()) <= set(support.items.tolist())
@@ -174,7 +177,7 @@ def test_syndrome_decode_called_positionally_with_int_weight(monkeypatch):
     for args, kwargs in calls:
         assert len(args) == 3 and not kwargs
         assert type(args[2]) is int
-        assert len(args[1]) == plan.signature.t and all(type(b) is int for b in args[1])
+        assert len(args[1]) == plan.signature.parity.t and all(type(b) is int for b in args[1])
 
 
 def test_stall_reported():
@@ -196,9 +199,9 @@ def test_decode_failure_requeued_then_left_open_by_residual_check():
     g = BipartiteGraph(5, 2, 5, np.array([[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]))
     plan = TestPlan(g, 1)
     results = encode(plan, SupportVector(5, np.array([0])))
-    values = results.values.copy()
-    values[:4] = [1, 1, 0, 1]  # count 1 with the syndrome of alpha^6: out of range
-    tampered = TestResults(M=2, s=4, values=values)
+    blocks = results.blocks.copy()
+    blocks[0] = [1, 1, 0, 1]  # count 1 with the syndrome of alpha^6: out of range
+    tampered = TestResults(blocks)
     out = peel_decode(plan, tampered)
     assert out.identified.tolist() == [0]
     assert out.iterations == 2
@@ -215,7 +218,7 @@ def test_decode_failure_requeued_then_left_open_by_residual_check():
 def test_unresolvable_failure_counted():
     g = BipartiteGraph(5, 1, 5, np.array([[0, 1, 2, 3, 4]]))
     plan = TestPlan(g, 1)
-    bad = TestResults(M=1, s=4, values=np.array([1, 1, 0, 1]))
+    bad = TestResults(np.array([[1, 1, 0, 1]]))
     out = peel_decode(plan, bad)
     assert out.identified.size == 0
     assert out.failed_nodes == 1
@@ -232,7 +235,7 @@ def test_impossible_measurements_not_recovered():
     assert peel_decode(plan, results).identified.tolist() == [2, 7, 19, 33, 41, 55]
     blocks = results.blocks.copy()
     blocks[:, 1] += 2 * (blocks[:, 0] // 2 + 1)
-    out = peel_decode(plan, TestResults(M=g.M, s=plan.signature.s, values=blocks.ravel()))
+    out = peel_decode(plan, TestResults(blocks))
     assert out.identified.size == 0
     assert out.resolved_nodes == 0
     assert out.stalled or out.failed_nodes
@@ -243,7 +246,7 @@ def test_impossible_measurements_not_recovered():
     blocks = encode(plan, SupportVector(6, np.array([0, 1, 2]))).blocks.copy()
     assert blocks[0, 3] == 3
     blocks[0, 3] = 5
-    results = TestResults(M=3, s=plan.signature.s, values=blocks.ravel())
+    results = TestResults(blocks)
     out = peel_decode(plan, results)
     assert out.failed_nodes == 1 and out.resolved_nodes == 2
     assert out.to_dict() == peel_decode_stepwise(plan, results).to_dict()
@@ -256,7 +259,7 @@ def test_item_that_overdraws_a_resolved_pool_is_not_a_recovery():
     plan = example_plan()
     blocks = np.zeros((3, 4), dtype=np.int64)
     blocks[2] = plan.signature.matrix[:, 3]
-    results = TestResults(M=3, s=4, values=blocks.ravel())
+    results = TestResults(blocks)
     out = peel_decode(plan, results)
     assert out.identified.tolist() == [7]
     assert out.failed_nodes == 1 and out.resolved_nodes == 2
@@ -289,7 +292,7 @@ def test_pool_resolved_before_the_pass_is_not_retried():
     blocks = np.zeros((3, 4), dtype=np.int64)
     blocks[1] = U[:, 3] + U[:, 6]
     blocks[2] = U[:, 3]
-    results = TestResults(M=3, s=4, values=blocks.ravel())
+    results = TestResults(blocks)
     out = peel_decode(plan, results)
     assert out.identified.tolist() == [7, 12]
     assert out.iterations == 2 and out.identified_per_iteration == [1, 1]
@@ -307,9 +310,9 @@ def test_max_iterations_cap():
 
 def test_negative_counts_do_not_crash():
     plan = example_plan()
-    values = np.zeros(12, dtype=np.int64)
-    values[0] = 1  # count says one defective, parity says none
-    out = peel_decode(plan, TestResults(M=3, s=4, values=values))
+    blocks = np.zeros((3, 4), dtype=np.int64)
+    blocks[0, 0] = 1  # count says one defective, parity says none
+    out = peel_decode(plan, TestResults(blocks))
     assert out.identified.size == 0
 
 
@@ -317,10 +320,10 @@ def test_plan_roundtrip_json():
     plan = example_plan()
     data = json.loads(json.dumps(plan.to_dict()))
     back = TestPlan.from_dict(data)
-    assert back.N == 14 and back.M == 3 and back.r == 7 and back.signature.t == 1
+    assert (back.graph.N, back.graph.M, back.graph.r, back.signature.parity.t) == (14, 3, 7, 1)
     assert np.array_equal(back.graph.right_adj, plan.graph.right_adj)
     assert back.seed == 0
-    assert back.M * back.signature.s == 12
+    assert back.graph.M * back.signature.matrix.shape[0] == 12
 
 
 def test_plan_from_dict_leaves_incidence_unbuilt(csr_builds):
@@ -438,7 +441,7 @@ def test_support_roundtrip_one_based():
 
 
 def test_results_roundtrip_and_validation():
-    res = TestResults(M=2, s=3, values=np.arange(6))
+    res = TestResults(np.arange(6).reshape(2, 3))
     back = TestResults.from_dict(res.to_dict(), 2, 3)
     assert np.array_equal(back.blocks, [[0, 1, 2], [3, 4, 5]])
     with pytest.raises(FormatError):

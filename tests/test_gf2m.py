@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgt.gf2m import MAX_DEGREE, MIN_DEGREE, PRIMITIVE_POLYS, FieldContext, make_field
+from qgt.gf2m import MAX_DEGREE, PRIMITIVE_POLYS, FieldContext, make_field
 
 
 def test_gf8_table_values():
@@ -14,7 +14,7 @@ def test_gf8_table_values():
 
 
 def test_all_degrees_build_and_are_primitive():
-    for q in range(MIN_DEGREE, MAX_DEGREE + 1):
+    for q in PRIMITIVE_POLYS:
         f = make_field(q)
         assert f.order == (1 << q) - 1
         # every nonzero element appears exactly once among the powers
@@ -67,17 +67,22 @@ def test_exp_list_wraps():
         assert all(exp[i] == exp[i + f.order] for i in range(f.order))
 
 
-def test_rejects_bad_polynomials():
-    with pytest.raises(ValueError):
-        FieldContext(4, 0b11111)  # x^4+x^3+x^2+x+1 divides x^5-1: not primitive
-    with pytest.raises(ValueError):
-        FieldContext(4, 0b1011)  # degree mismatch
-    with pytest.raises(ValueError):
-        make_field(1)
-    with pytest.raises(ValueError):
-        make_field(21)
+def test_rejects_bad_polynomials(monkeypatch):
+    # the table is the only source of polynomials; a bad entry must not pass
+    monkeypatch.setitem(PRIMITIVE_POLYS, 4, 0b11111)  # x^4+x^3+x^2+x+1 divides x^5-1
+    with pytest.raises(ValueError, match="not primitive"):
+        FieldContext(4)
+    monkeypatch.setitem(PRIMITIVE_POLYS, 4, 0b1011)
+    with pytest.raises(ValueError, match="does not have degree 4"):
+        FieldContext(4)
+    for q in (1, 21):
+        with pytest.raises(ValueError, match="no primitive polynomial"):
+            FieldContext(q)
+        with pytest.raises(ValueError, match="no primitive polynomial"):
+            make_field(q)
 
 
 def test_poly_table_degrees_consistent():
+    assert sorted(PRIMITIVE_POLYS) == list(range(2, MAX_DEGREE + 1)) and MAX_DEGREE == 20
     for q, poly in PRIMITIVE_POLYS.items():
         assert poly.bit_length() == q + 1

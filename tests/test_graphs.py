@@ -48,6 +48,16 @@ def test_profile_validation():
     assert p.lam[0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "lam", [[np.nan, 0.5, 0.5], [0.0, 0.5, np.nan], [np.inf, 0.0, 0.0], [0.5, 0.5, np.inf], [np.nan] * 3]
+)
+def test_profile_rejects_non_finite_entries(lam):
+    # a NaN entry makes every sum and comparison after it NaN, which no
+    # tolerance check rejects
+    with pytest.raises(ValueError, match="non-finite"):
+        profile_from_lambda(3, lam)
+
+
 def test_bipartite_graph_incidence_structure():
     g = BipartiteGraph(14, 3, 7, EXAMPLE_ADJ)
     degs = np.diff(g.left_ptr)

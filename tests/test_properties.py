@@ -142,12 +142,12 @@ def plans_and_supports(draw, max_t=3):
 
 
 def _mutated_measurements(plan, support, data, min_edits):
-    """The support's measurements with min_edits to 3 entries moved by 1 or 2."""
-    values = encode(plan, support).values.copy()
+    """The support's measurement blocks with min_edits to 3 entries moved by 1 or 2."""
+    blocks = encode(plan, support).blocks.copy()
     for _ in range(data.draw(st.integers(min_edits, 3))):
-        i = data.draw(st.integers(0, values.size - 1))
-        values[i] = max(values[i] + data.draw(st.sampled_from([-2, -1, 1, 2])), 0)
-    return values
+        i = data.draw(st.integers(0, blocks.size - 1))
+        blocks.flat[i] = max(blocks.flat[i] + data.draw(st.sampled_from([-2, -1, 1, 2])), 0)
+    return blocks
 
 
 @PROPERTY_SETTINGS
@@ -162,12 +162,11 @@ def test_decode_never_names_an_item_outside_the_support(case):
 @given(plans_and_supports(), st.data())
 def test_decode_of_mutated_results_is_flagged_or_exact(case, data):
     plan, support = case
-    values = _mutated_measurements(plan, support, data, min_edits=1)
-    results = TestResults(M=plan.M, s=plan.signature.s, values=values)
-    out = peel_decode(plan, results)
+    blocks = _mutated_measurements(plan, support, data, min_edits=1)
+    out = peel_decode(plan, TestResults(blocks))
     if not (out.stalled or out.failed_nodes):
-        found = encode(plan, SupportVector(plan.N, out.identified))
-        assert np.array_equal(found.values, values)
+        found = encode(plan, SupportVector(plan.graph.N, out.identified))
+        assert np.array_equal(found.blocks, blocks)
 
 
 def _mutated_or_random_results(plan, support, data):
@@ -176,18 +175,19 @@ def _mutated_or_random_results(plan, support, data):
     above r + t + 1 and up to 2^62, where the decoder clamps them; powers of
     two among them, which a packing into int64 words would wrap to 0."""
     kind = data.draw(st.sampled_from(["mutated", "random", "huge"]))
-    size = plan.M * plan.signature.s
+    M, s = plan.graph.M, plan.signature.matrix.shape[0]
     if kind == "mutated":
-        values = _mutated_measurements(plan, support, data, min_edits=0)
+        blocks = _mutated_measurements(plan, support, data, min_edits=0)
     elif kind == "random":
-        values = np.array(data.draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)), dtype=np.int64)
+        values = data.draw(st.lists(st.integers(0, 4), min_size=M * s, max_size=M * s))
+        blocks = np.array(values, dtype=np.int64).reshape(M, s)
     else:
-        values = encode(plan, support).values.copy()
-        low = plan.r + plan.signature.t + 2
+        blocks = encode(plan, support).blocks.copy()
+        low = plan.graph.r + plan.signature.parity.t + 2
         huge = st.integers(low, 2**62) | st.sampled_from([2**k for k in range(low.bit_length(), 63)])
-        for i in data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4)):
-            values[i] = data.draw(huge)
-    return TestResults(M=plan.M, s=plan.signature.s, values=values)
+        for i in data.draw(st.lists(st.integers(0, M * s - 1), min_size=1, max_size=4)):
+            blocks.flat[i] = data.draw(huge)
+    return TestResults(blocks)
 
 
 @PROPERTY_SETTINGS
