@@ -143,11 +143,14 @@ def _quartic(field: FieldContext, blocks) -> list[int]:
     If sigma_1 != 0, X = a + 1/Z with a^2 = sigma_3 / sigma_1, the root of
     the locator's derivative sigma_1 X^2 + sigma_3, removes the terms in X
     and Z^3; the locator's value at a is then e = a^4 + sigma_2 a^2 +
-    sigma_4, and e = 0 makes a a repeated root.  If sigma_1 = 0, X = Z.
-    Either way Z^4 + b Z^2 + c Z + d remains, and it has four distinct
-    roots only with c != 0.  They are the roots of Z^2 + u Z + v and
-    Z^2 + u Z + w, where u is any root of the resolvent u^3 + b u + c (the
-    three pair sums of the roots) and v, w the roots of y^2 + (c/u) y + d.
+    sigma_4, nonzero once det is: e = 0 would make a a double root, so the
+    syndrome would be the power sums of at most two locators (in GF(2^2q)
+    at most) and Peterson's matrix, of rank at most 2, singular.  If
+    sigma_1 = 0, X = Z, and c = sigma_3 = S_3 is nonzero as det = S_3^2.
+    Either way Z^4 + b Z^2 + c Z + d remains.  Its roots are those of
+    Z^2 + u Z + v and Z^2 + u Z + w, where u is any root of the resolvent
+    u^3 + b u + c (the three pair sums of the roots) and v, w the roots of
+    y^2 + (c/u) y + d.
     """
     log, exp, n = field.log_list, field.exp_list, field.order
 
@@ -177,13 +180,9 @@ def _quartic(field: FieldContext, blocks) -> list[int]:
         la2 = log[a2]
         a = exp[(la2 + n * (la2 & 1)) >> 1] if a2 else 0  # 2 log a = la2 mod n
         e = mul(a2, a2) ^ mul(sigma2, a2) ^ sigma4
-        if not e:
-            raise DecodeFailure("repeated locator root")
         b, c, d = div(mul(S1, a) ^ sigma2, e), div(S1, e), div(1, e)
     else:
         a, b, c, d = 0, sigma2, sigma3, sigma4
-        if not c:
-            raise DecodeFailure("repeated locator root")
     lu = log[_cubic(field, b, c)[0]]
     lv, lw = _quadratic(field, (log[c] - lu) % n, log[d])
     lz = _quadratic(field, lu, lv) + _quadratic(field, lu, lw)

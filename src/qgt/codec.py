@@ -292,12 +292,10 @@ def peel_decode(plan: TestPlan, results: TestResults, max_iterations: int | None
     identified: list[int] = []
     resolved = bytearray(M)
     active = range(M)
-    iterations = 0
     per_iter: list[int] = []
 
-    while active and iterations < max_iterations:
+    while active and len(per_iter) < max_iterations:
         eligible = [n for n in active if count[n] <= t and not resolved[n]]
-        iterations += 1
         retry: set[int] = set()
         newly = 0
         progress = False
@@ -348,7 +346,7 @@ def peel_decode(plan: TestPlan, results: TestResults, max_iterations: int | None
     open_counts = [v for v, o in zip(count, ok) if not o]
     return DecodeOutcome(
         identified=np.asarray(sorted(identified), dtype=np.int64),
-        iterations=iterations,
+        iterations=len(per_iter),
         resolved_nodes=sum(ok),
         stalled=any(v > t for v in open_counts),
         failed_nodes=sum(v <= t for v in open_counts),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class DesignResult:
     """
 
     t: int
-    d: int
     load: float
     profile: DegreeProfile
     nodes_per_defective: float
@@ -92,7 +91,7 @@ class DesignResult:
         return {
             "version": 1,
             "t": self.t,
-            "d": self.d,
+            "d": self.profile.d,
             "psi": self.load,
             "lambda": self.profile.lam.tolist(),
             "avg_left_degree": self.profile.avg_degree,
@@ -166,7 +165,8 @@ def optimize_design(t: int, d: int) -> DesignResult:
     infeasible loads count as +inf.  The bisection finds the first index
     whose right neighbour is not lower, evaluating each grid point at most
     once.  The budget multiplier is -1/f at the minimizer and the mean left
-    degree is load * that multiplier.
+    degree is load * that multiplier.  The final LP, at a load no higher than
+    the bracket's feasible top, is feasible as the feasible loads form a prefix.
     """
     if not 1 <= t <= MAX_CORRECTION:
         raise OutOfRegime(f"capability t={t} outside [1, {MAX_CORRECTION}]")
@@ -180,14 +180,9 @@ def optimize_design(t: int, d: int) -> DesignResult:
     # contraction constraint), and on that prefix f falls strictly, then
     # rises strictly.  With +inf past the prefix, "f(i + 1) < f(i)" holds
     # exactly below the first minimum.
-    evaluated = {}  # grid index -> (f, profile)
-
+    @cache
     def f_at(i):
-        if i > _LAST_GRID_INDEX:
-            return math.inf
-        if i not in evaluated:
-            evaluated[i] = _objective_at(t, d, _grid_load(i))
-        return evaluated[i][0]
+        return _objective_at(t, d, _grid_load(i))[0] if i <= _LAST_GRID_INDEX else math.inf
 
     if not math.isfinite(f_at(0)):
         raise Infeasible(f"no feasible load for t={t}, d={d}")
@@ -223,14 +218,8 @@ def optimize_design(t: int, d: int) -> DesignResult:
             f2, _ = _objective_at(t, d, x2, seed)
     load_star = (a + b) / 2.0
     f_star, profile = _objective_at(t, d, load_star)
-    if profile is None:
-        # golden section collapsed onto the feasibility edge; back off to the
-        # best grid point
-        load_star = _grid_load(best_i)
-        f_star, profile = evaluated[best_i]
     return DesignResult(
         t=t,
-        d=d,
         load=load_star,
         profile=profile,
         nodes_per_defective=-1.0 / f_star,
@@ -279,8 +268,9 @@ def make_plan(N: int, K: int, design: DesignResult, margin: float = 1.0) -> Plan
     pools_target = margin * c * K
     M = math.ceil(pools_target)
     pool_size_target = ell * N / (c * K * margin)
-    r = max(pool_size(pool_size_target, N, M, design.d), 3)
-    if M * r > N * design.d or r > N:
+    d = design.profile.d
+    r = max(pool_size(pool_size_target, N, M, d), 3)
+    if M * r > N * d or r > N:
         raise OutOfRegime(
             f"K={K} too close to N={N}: no feasible pool size (wanted r={r}, M={M})"
         )
@@ -292,7 +282,7 @@ def make_plan(N: int, K: int, design: DesignResult, margin: float = 1.0) -> Plan
         N=N,
         K=K,
         t=design.t,
-        d=design.d,
+        d=d,
         M=M,
         r=r,
         q=q,

@@ -58,8 +58,6 @@ class FieldContext:
     ----------
     q : int
         Extension degree.
-    primitive_poly : int
-        Defining polynomial as a bit mask.
     order : int
         Size of the multiplicative group, 2^q - 1.
     antilog : ndarray
@@ -75,7 +73,6 @@ class FieldContext:
         if primitive_poly >> q != 1:
             raise ValueError(f"polynomial 0x{primitive_poly:x} does not have degree {q}")
         self.q = q
-        self.primitive_poly = primitive_poly
         self.order = (1 << q) - 1
 
         antilog = np.zeros(self.order, dtype=np.int64)

@@ -136,7 +136,7 @@ def _invert_budget(m: int, N: int, t: int, design: DesignResult) -> tuple[int, i
         M = m // s
         if M < 1:
             return None
-        r = pool_size(ell * N / M, N, M, design.d)
+        r = pool_size(ell * N / M, N, M, design.profile.d)
         if r < 3:
             return None
         s_new = tests_per_pool(t, r)

@@ -52,7 +52,12 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
   graphs of runs at the desk point (N = 2^16, K = 100, d = 2, margin 1.5;
   3 trials each, seeds 1-6) and the dense point (N = 2^20, K = 10^4, d = 2,
   margin 1.5; 1 trial, seeds 1-2), and the syndrome decoder outcomes, as
-  above, at the codes (t, r) = (4, 474), (4, 4095) and (4, 65535).
+  above, at the codes (t, r) = (4, 474), (4, 4095) and (4, 65535);
+- last, the `DecodeOutcome.to_dict` and the syndrome decoder calls of
+  decodes at the three desk points (seeds 1-3) of a support's measurements
+  with the count of every odd-index pool that holds 2 or more lowered by 1:
+  a pool's residual count can then fall below 0 within a pass after the
+  pass found the pool eligible.
 
 pytest does not collect this file.
 """
@@ -148,21 +153,38 @@ def _syndrome_outcomes(codes) -> list:
     return out
 
 
-def _inconsistent_decodes() -> list:
-    """Outcomes of decodes of tampered measurements at the desk points."""
+def _desk_measurements():
+    """(plan, measurement blocks, seed) of a sampled support at each desk
+    point, seeds 1-3."""
     N, K, points, _, _ = DESK
-    out = []
     for t, d, margin in points:
         res = design.optimize_design(t, d)
         sizes = design.make_plan(N, K, res, margin=margin)
         for seed in (1, 2, 3):
             plan = codec.TestPlan(graphs.sample_graph(N, sizes.M, sizes.r, res.profile, seed), t)
-            blocks = codec.encode(plan, sim.sample_support(N, K / N, seed)).blocks
-            raised, huge = blocks.copy(), blocks.copy()
-            raised[:, 1] += 2 * (raised[:, 0] // 2 + 1)
-            huge[seed] = 2**62
-            for tampered in (raised, huge):
-                out.append(codec.peel_decode(plan, codec.TestResults(tampered)).to_dict())
+            yield plan, codec.encode(plan, sim.sample_support(N, K / N, seed)).blocks, seed
+
+
+def _inconsistent_decodes() -> list:
+    """Outcomes of decodes of tampered measurements at the desk points."""
+    out = []
+    for plan, blocks, seed in _desk_measurements():
+        raised, huge = blocks.copy(), blocks.copy()
+        raised[:, 1] += 2 * (raised[:, 0] // 2 + 1)
+        huge[seed] = 2**62
+        for tampered in (raised, huge):
+            out.append(codec.peel_decode(plan, codec.TestResults(tampered)).to_dict())
+    return out
+
+
+def _lowered_count_decodes() -> list:
+    """Outcomes of decodes at the desk points of measurements whose
+    odd-index pools holding 2 or more have their count lowered by 1."""
+    out = []
+    for plan, blocks, _ in _desk_measurements():
+        counts = blocks[1::2, 0]
+        counts[counts >= 2] -= 1
+        out.append(codec.peel_decode(plan, codec.TestResults(blocks)).to_dict())
     return out
 
 
@@ -276,6 +298,11 @@ def main():
     print(f"LP solutions ({len(solutions)} solves, {solutions.count(None)} infeasible): {digest}")
     digest = hashlib.sha256(json.dumps(pivots).encode()).hexdigest()
     print(f"LP pivots ({len(pivots)}): {digest}")
+
+    with _recorded_decodes() as calls:
+        lowered = {"outcomes": _lowered_count_decodes(), "calls": calls}
+    digest = hashlib.sha256(json.dumps(lowered, sort_keys=True).encode()).hexdigest()
+    print(f"lowered-count decodes ({len(lowered['outcomes'])}, {len(calls)} calls): {digest}")
 
 
 def _designs_lp_solutions_and_pivots() -> tuple[list, list, list]:

@@ -164,7 +164,7 @@ def scan_design(t: int, d: int) -> tuple[design.DesignResult, list]:
     if profile is None:
         load_star = float(trace[best_i][0])
         f_star, profile = objective_at(t, d, load_star)
-    result = design.DesignResult(t=t, d=d, load=load_star, profile=profile, nodes_per_defective=-1.0 / f_star)
+    result = design.DesignResult(t=t, load=load_star, profile=profile, nodes_per_defective=-1.0 / f_star)
     return result, trace
 
 

@@ -150,6 +150,8 @@ def test_out_of_regime_plan_exits_2(capsys):
         ["simulate", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--trials", "2", "--seed", "-3"],
         ["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8", "--M", "10", "--r", "90", "--seed", "-1"],
         ["simulate", "--t", "1", "--d", "32", "--N", "300", "--K", "8", "--m", "100", "--trials", "2", "--seed", "1"],
+        ["plan", "--t", "1", "--d", "3", "--N", "1099511627776", "--K", "100"],
+        ["compare", "--N", "1000", "--K-list", "1x"],
     ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, capsys):

@@ -134,6 +134,8 @@ def test_encode_empty_support_and_mismatch():
     assert out.resolved_nodes == 3
     with pytest.raises(ValueError):
         encode(plan, SupportVector(10, np.array([1])))
+    with pytest.raises(ValueError, match="results shape does not match plan"):
+        peel_decode(plan, TestResults(res.blocks[:2]))
 
 
 def test_decode_conservation_invariant():

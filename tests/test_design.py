@@ -399,6 +399,8 @@ def test_make_plan_out_of_regime():
     res = optimize_design(1, 3)
     with pytest.raises(OutOfRegime):
         make_plan(10, 9, res)
+    with pytest.raises(ValueError, match="need 1 <= K < N"):
+        make_plan(10, 10, res)
 
 
 def test_make_plan_single_defective():

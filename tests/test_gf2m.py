@@ -30,7 +30,7 @@ def slow_mul(f, a, b):
         b >>= 1
         a <<= 1
         if a >> f.q & 1:
-            a ^= f.primitive_poly
+            a ^= PRIMITIVE_POLYS[f.q]
     return acc
 
 

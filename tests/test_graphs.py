@@ -43,6 +43,8 @@ def test_profile_validation():
         profile_from_lambda(3, [0.0, -0.1, 1.1])
     with pytest.raises(ValueError):
         profile_from_lambda(2, [0.0, 0.5, 0.5])  # length mismatch
+    with pytest.raises(ValueError, match="max degree 33"):
+        profile_from_lambda(33, [0.0] * 32 + [1.0])
     # tiny negative noise from an LP solution is forgiven
     p = profile_from_lambda(2, [-1e-13, 1.0 + 1e-13])
     assert p.lam[0] == 0.0
@@ -251,6 +253,8 @@ def test_sample_graph_infeasible_stub_totals():
         sample_graph(10, 8, 5, p, seed=0)  # M*r=40 > N*d=30
     with pytest.raises(ValueError):
         sample_graph(10, 2, 11, p, seed=0)  # r > N
+    with pytest.raises(ValueError, match="at least one node"):
+        sample_graph(0, 1, 1, p, seed=0)
 
 
 class _DrawSpy:

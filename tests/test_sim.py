@@ -92,9 +92,10 @@ def test_report_bookkeeping():
 
 def test_sweep_skips_unrealizable_budgets(caplog):
     with caplog.at_level(logging.WARNING, logger="qgt.sim"):
-        reports = simulate(100, 20, 1, 3, 30, 3, m_values=[2, 8, 9])
+        # m = 100000 gives M large enough that the edge-balance r is below 3
+        reports = simulate(100, 20, 1, 3, 30, 3, m_values=[2, 8, 9, 100000])
     assert len(reports) == 1
-    assert sum("not realizable" in r.message for r in caplog.records) == 2
+    assert sum("not realizable" in r.message for r in caplog.records) == 3
 
 
 def test_single_pool_cannot_resolve_many():

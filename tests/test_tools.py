@@ -36,3 +36,10 @@ def test_decode_digest_syndrome_outcomes():
     out = decode_digest._syndrome_outcomes([(3, 13)])
     assert len(out) == 4 * (300 + 3 * 300)
     assert "failure" in out and any(o != "failure" for o in out)
+
+
+def test_decode_digest_lowered_count_decodes():
+    # three desk points, seeds 1-3, each of measurements no support produces
+    out = decode_digest._lowered_count_decodes()
+    assert len(out) == 9
+    assert all(o["stalled"] or o["failed_nodes"] for o in out)
