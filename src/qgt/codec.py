@@ -10,7 +10,9 @@ The full m x N measurement matrix is never materialized.
 Decoding peels: any pool whose residual count is at most t is resolved by BCH
 syndrome decoding, once the located columns account for its whole residual
 block; the identified items' signature columns are subtracted from all their
-pools at once, and the process repeats until nothing changes.  Pool
+pools at once, and the process repeats until nothing changes.  Encoding
+records the support's pool slots on the graph, so decoding the measurements
+it made never builds the graph's full item-to-pool incidence.  Pool
 eligibility within a pass is fixed by the counts at the start of the pass, so
 the pass index matches the round-by-round schedule that density evolution
 tracks.
@@ -230,18 +232,16 @@ class DecodeOutcome:
 
 
 def encode(plan: TestPlan, support: SupportVector) -> TestResults:
-    """Measurement blocks: per pool, the sum of its defective members' columns,
-    each item's pools and positions split from its flat indices in left_slot."""
+    """Measurement blocks: per pool, the sum of its defective members' columns.
+    The members' pools and positions are split from their flat slots, which
+    graph.slots_of finds without the full left incidence and records for
+    the decoder's lookups."""
     if support.N != plan.graph.N:
         raise ValueError("support universe does not match plan")
     g, sig = plan.graph, plan.signature
     Y = np.zeros((g.M, sig.matrix.shape[0]), dtype=np.int64)
-    if support.items.size:
-        lo = g.left_ptr[support.items]
-        deg = g.left_ptr[support.items + 1] - lo
-        csr = np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
-        pools, positions = np.divmod(g.left_slot[csr], g.r)
-        np.add.at(Y, pools, sig.matrix.T[positions])
+    pools, positions = np.divmod(g.slots_of(support.items), g.r)
+    np.add.at(Y, pools, sig.matrix.T[positions])
     return TestResults(Y)
 
 
@@ -270,6 +270,12 @@ def peel_decode(plan: TestPlan, results: TestResults, max_iterations: int | None
     0.  Every residual entry minus such a sum lies in (-2^W, 2^W) since
     r + t + 1 < 2^W, so the residual certificate, that the located columns
     account for the whole residual block, is one comparison of ints.
+
+    A found item's pools come from graph.item_slots.  On measurements that
+    encode made on this graph, every located item is a support item (BCH
+    decoding is unique at weight <= t and the certificate is exact), so its
+    slots come from encode's record; any other item's come from the full
+    left incidence, built on the first such lookup.
     """
     g, sig = plan.graph, plan.signature
     pcm = sig.parity
@@ -281,7 +287,7 @@ def peel_decode(plan: TestPlan, results: TestResults, max_iterations: int | None
     col_parity, col_code, width = sig.packed_columns
     shifts = range(0, t * q, q)
     low = (1 << q) - 1
-    adj, ptr, slot, r = g.right_adj, g.left_ptr, g.left_slot, g.r
+    adj, r = g.right_adj, g.r
     blocks = results.blocks.astype(np.int64, copy=False)
     entries = blocks[:, 1:]
     count = blocks[:, 0].tolist()
@@ -324,8 +330,8 @@ def peel_decode(plan: TestPlan, results: TestResults, max_iterations: int | None
                     continue
                 for x in items:
                     found[x] = 1
-                    for i in range(ptr.item(x), ptr.item(x + 1)):
-                        n2, p = divmod(slot.item(i), r)
+                    for slot in g.item_slots(x):
+                        n2, p = divmod(slot, r)
                         count[n2] -= 1
                         parity[n2] ^= col_parity[p]
                         code[n2] -= col_code[p]

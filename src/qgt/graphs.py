@@ -60,10 +60,12 @@ class BipartiteGraph:
     """Adjacency of N items and M pools with constant right degree r.
 
     right_adj has shape (M, r) with ascending, distinct entries per row.
-    The left incidence is built once, on the first read of left_ptr or
-    left_slot, in CSR form: for item v, left_slot[left_ptr[v]:left_ptr[v+1]]
-    holds, ascending, the flat indices n*r + p of its entries in right_adj,
-    so v sits in pool n at position p.
+    An item v sits in pool n at position p when its entry has the flat slot
+    n*r + p in right_adj.  slots_of(items) finds the slots of a few items by
+    one gather and records each one's, which item_slots(v) then reads.  The
+    full left incidence is built once, on the first read of left_ptr or
+    left_slot or the first item_slots miss, in CSR form: for item v,
+    left_slot[left_ptr[v]:left_ptr[v+1]] holds its slots, ascending.
     """
 
     def __init__(self, N: int, M: int, r: int, right_adj: np.ndarray):
@@ -83,10 +85,34 @@ class BipartiteGraph:
         self.M = M
         self.r = r
         self.right_adj = right_adj
+        self._recorded: dict[int, list[int]] = {}
 
         n = right_adj.size
         if int(N) * n >= 2**63:
             raise ValueError(f"{N} items x {n} entries overflow the int64 sort keys")
+
+    def slots_of(self, items: np.ndarray) -> np.ndarray:
+        """The flat slots of the sorted, distinct items' entries, ascending,
+        from one gather over right_adj.  Each item's own slots, ascending
+        and empty at degree 0, replace the record that item_slots reads."""
+        mask = np.zeros(self.N, dtype=bool)
+        mask[items] = True
+        slots = np.flatnonzero(mask[self.right_adj])
+        owners = self.right_adj.ravel()[slots]
+        order = np.argsort(owners, kind="stable")
+        grouped = slots[order].tolist()
+        bounds = np.searchsorted(owners[order], items).tolist() + [len(grouped)]
+        self._recorded = {x: grouped[a:b] for x, a, b in zip(items.tolist(), bounds, bounds[1:])}
+        return slots
+
+    def item_slots(self, x: int) -> list[int]:
+        """The flat slots of item x, ascending: from the last slots_of call
+        if it recorded x, else from the left incidence."""
+        slots = self._recorded.get(x)
+        if slots is None:
+            ptr, slot = self._left_csr
+            slots = slot[ptr.item(x) : ptr.item(x + 1)].tolist()
+        return slots
 
     @property
     def left_ptr(self) -> np.ndarray:

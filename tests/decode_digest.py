@@ -57,7 +57,11 @@ K = 10^4, t = 3, d = 2; 1 trial, seeds 1-4), and prints the sha256 of
   decodes at the three desk points (seeds 1-3) of a support's measurements
   with the count of every odd-index pool that holds 2 or more lowered by 1:
   a pool's residual count can then fall below 0 within a pass after the
-  pass found the pool eligible.
+  pass found the pool eligible;
+- the `DecodeOutcome.to_dict` and the syndrome decoder calls of decodes at
+  the three desk points (seeds 1-3) on a plan read back through
+  `TestPlan.from_dict` from the encoding plan's `to_dict`, with no `encode`
+  on the read-back plan, as `qgt decode` reads its plan file.
 
 pytest does not collect this file.
 """
@@ -188,6 +192,15 @@ def _lowered_count_decodes() -> list:
     return out
 
 
+def _read_back_decodes() -> list:
+    """Outcomes of decodes at the desk points on a copy of the encoding
+    plan that went through its file format."""
+    return [
+        codec.peel_decode(codec.TestPlan.from_dict(plan.to_dict()), codec.TestResults(blocks)).to_dict()
+        for plan, blocks, _ in _desk_measurements()
+    ]
+
+
 def _plan_round_trips() -> list:
     """A sampled plan through its file format and back, then encoded and
     decoded, at each desk point."""
@@ -303,6 +316,11 @@ def main():
         lowered = {"outcomes": _lowered_count_decodes(), "calls": calls}
     digest = hashlib.sha256(json.dumps(lowered, sort_keys=True).encode()).hexdigest()
     print(f"lowered-count decodes ({len(lowered['outcomes'])}, {len(calls)} calls): {digest}")
+
+    with _recorded_decodes() as calls:
+        read_back = {"outcomes": _read_back_decodes(), "calls": calls}
+    digest = hashlib.sha256(json.dumps(read_back, sort_keys=True).encode()).hexdigest()
+    print(f"read-back plan decodes ({len(read_back['outcomes'])}, {len(calls)} calls): {digest}")
 
 
 def _designs_lp_solutions_and_pivots() -> tuple[list, list, list]:

@@ -15,7 +15,8 @@ the decoder that finds the roots of every weight from 2 up by one O(r)
 sweep over the retained positions (`_roots_sweep`, on the `cyclic_powers`
 table), the locator of weight 4 by elimination, which check the BCH
 decoder; and the peeling loop on numpy measurement blocks, which checks
-`codec.peel_decode`.
+`codec.peel_decode`; and the encoder that reads each item's pools from the
+graph's full left incidence, which checks `codec.encode`.
 """
 
 from __future__ import annotations
@@ -459,6 +460,20 @@ def sweep_syndrome_decode(pcm: ParityCheckMatrix, blocks, expected_weight: int) 
         if s:
             raise DecodeFailure("candidate positions do not reproduce the syndrome")
     return sorted(positions)
+
+
+def encode_by_incidence(plan: codec.TestPlan, support: codec.SupportVector) -> codec.TestResults:
+    """codec.encode with each support item's pools and positions split from
+    its flat slots in the graph's left incidence, which this builds."""
+    g, sig = plan.graph, plan.signature
+    Y = np.zeros((g.M, sig.matrix.shape[0]), dtype=np.int64)
+    if support.items.size:
+        lo = g.left_ptr[support.items]
+        deg = g.left_ptr[support.items + 1] - lo
+        csr = np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
+        pools, positions = np.divmod(g.left_slot[csr], g.r)
+        np.add.at(Y, pools, sig.matrix.T[positions])
+    return codec.TestResults(Y)
 
 
 def peel_decode_stepwise(

@@ -19,6 +19,10 @@ themselves.  LAYER is one of
   plan built from the same adjacency, compared as the results' `to_dict()`;
 - `peel_decode`: one `codec.peel_decode` of a sampled support's
   measurements, each tree on its own plan built from the same adjacency;
+  the measurements are encoded on that plan object, so a tree whose
+  `encode` records the support's slots decodes from that record, as a
+  Monte Carlo trial does, and never times the build of the full left
+  incidence that `qgt decode` on a plan file pays;
 - `trial`: one `sim.run_plan_trials` trial, as the Monte Carlo runs it;
 - `optimize_design`: the 16 rows of `qgt tables --t 2` (d = 2..17), each
   a cold `design.optimize_design.__wrapped__` call, compared as their

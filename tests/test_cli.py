@@ -58,14 +58,20 @@ def test_gen_deterministic_per_seed(tmp_path):
     assert open(a).read() == open(b).read()
 
 
-def test_gen_never_builds_the_incidence(tmp_path, csr_builds):
+def test_only_decode_builds_the_incidence(tmp_path, csr_builds):
+    # gen writes the pool lists and encode gathers the support's slots from
+    # them; decode reads a plan with no recorded slots and builds it once
     plan_file = str(tmp_path / "plan.json")
     assert cli.main(["gen", "--t", "1", "--d", "3", "--N", "300", "--K", "8",
                      "--margin", "1.6", "--seed", "77", "--out", plan_file]) == 0
-    assert csr_builds == []
     support_file = write(tmp_path / "support.json", {"version": 1, "N": 300, "defective": [5, 17, 100]})
+    results_file = str(tmp_path / "results.json")
     assert cli.main(["encode", "--plan", plan_file, "--support", support_file,
-                     "--out", str(tmp_path / "results.json")]) == 0
+                     "--out", results_file]) == 0
+    assert csr_builds == []
+    out_file = str(tmp_path / "out.json")
+    assert cli.main(["decode", "--plan", plan_file, "--results", results_file, "--out", out_file]) == 0
+    assert json.loads(open(out_file).read())["identified"] == [5, 17, 100]
     assert len(csr_builds) == 1
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import peel_decode_stepwise
+from oracles import encode_by_incidence, peel_decode_stepwise
 from qgt import codec
 from qgt.codec import (
     DecodeOutcome,
@@ -328,13 +328,32 @@ def test_plan_roundtrip_json():
     assert back.graph.M * back.signature.matrix.shape[0] == 12
 
 
-def test_plan_from_dict_leaves_incidence_unbuilt(csr_builds):
+def test_encode_and_its_decode_build_no_incidence(csr_builds):
+    # encode records the support's slots, and the decode of its measurements
+    # on the same plan object looks up only support items
     plan = TestPlan.from_dict(example_plan().to_dict())
-    assert csr_builds == []
     results = encode(plan, SupportVector(N=14, items=EXAMPLE_DEFECTIVE))
-    assert csr_builds == [plan.graph]
     assert peel_decode(plan, results).identified.tolist() == EXAMPLE_DEFECTIVE
-    assert csr_builds == [plan.graph]
+    assert csr_builds == []
+    # a plan read back with no encode of its own builds it once, as qgt decode does
+    read_back = TestPlan.from_dict(plan.to_dict())
+    assert peel_decode(read_back, results).identified.tolist() == EXAMPLE_DEFECTIVE
+    assert csr_builds == [read_back.graph]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_encode_matches_the_incidence_oracle(seed, csr_builds):
+    # sampled supports at two rates, the empty one and all N items; the
+    # oracle reads the incidence of its own copy of the graph
+    rng = np.random.default_rng(seed)
+    N, M, r, t = 60 + seed, 12, 9 + seed, 1 + seed % 3
+    g = sample_graph(N, M, r, profile_from_lambda(3, [0.0, 0.3, 0.7]), seed=seed)
+    plan, oracle_plan = TestPlan(g, t), TestPlan(BipartiteGraph(N, M, r, g.right_adj), t)
+    sets = [np.flatnonzero(rng.random(N) < rate) for rate in (0.05, 0.2)] + [np.arange(0), np.arange(N)]
+    for items in sets:
+        support = SupportVector(N, items)
+        assert np.array_equal(encode(plan, support).blocks, encode_by_incidence(oracle_plan, support).blocks)
+    assert g not in csr_builds
 
 
 def test_plan_format_errors():

@@ -127,6 +127,49 @@ def test_left_csr_across_key_chunks(chunk, monkeypatch, csr_builds):
         assert csr_builds[-1] is g
 
 
+def _incidence_slices(g, items) -> list:
+    """Each item's slots as sliced from the left incidence of a fresh copy of g."""
+    copy = BipartiteGraph(g.N, g.M, g.r, g.right_adj)
+    return [copy.left_slot[copy.left_ptr[x] : copy.left_ptr[x + 1]].tolist() for x in items.tolist()]
+
+
+def _item_sets(g, rng) -> list:
+    sample = np.sort(rng.choice(g.N, size=min(g.N, 9), replace=False))
+    return [sample, np.arange(0), np.arange(g.N)]
+
+
+def test_recorded_slots_match_the_incidence(csr_builds):
+    # sampled graphs, one with degree-0 items (1, 2, 4 and 6), and graphs
+    # with no pools or no columns, each on a sample, an empty and an all-N set
+    p = profile_from_lambda(4, [0.0, 0.3, 0.4, 0.3])
+    cases = [BipartiteGraph(7, 3, 2, [[0, 3], [0, 5], [3, 5]])]
+    cases += [BipartiteGraph(6, M, r, np.zeros((M, r))) for M, r in [(0, 3), (3, 0)]]
+    cases += [sample_graph(N, M, r, p, seed=N + M) for N, M, r in [(14, 3, 7), (50, 20, 7), (300, 40, 21)]]
+    rng = np.random.default_rng(3)
+    for g in cases:
+        for items in _item_sets(g, rng):
+            want = _incidence_slices(g, items)
+            slots = g.slots_of(items)
+            assert slots.dtype == np.int64
+            assert slots.tolist() == sorted(s for item in want for s in item)
+            assert [g.item_slots(x) for x in items.tolist()] == want
+            assert g not in csr_builds
+    assert _incidence_slices(cases[0], np.arange(7)) == [[0, 2], [], [], [1, 4], [], [3, 5], []]
+
+
+def test_slots_of_replaces_the_record(csr_builds):
+    g = sample_graph(300, 40, 21, profile_from_lambda(4, [0.0, 0.3, 0.4, 0.3]), seed=340)
+    first, second = np.array([3, 50, 77, 201]), np.array([4, 50, 120])
+    want = dict(zip(range(300), _incidence_slices(g, np.arange(300))))
+    g.slots_of(first)
+    g.slots_of(second)
+    assert [g.item_slots(x) for x in second.tolist()] == [want[x] for x in second.tolist()]
+    assert g not in csr_builds
+    # items of the first set only are looked up in the incidence, built once
+    assert [g.item_slots(x) for x in (3, 77, 201, 5)] == [want[x] for x in (3, 77, 201, 5)]
+    assert csr_builds.count(g) == 1
+
+
 def test_bipartite_graph_validation():
     with pytest.raises(ValueError):
         BipartiteGraph(14, 3, 7, EXAMPLE_ADJ[:, ::-1])  # descending rows

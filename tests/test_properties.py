@@ -239,6 +239,25 @@ def test_peeler_matches_the_stepwise_oracle(case, data):
     assert got == _decode_with_calls(peel_decode_stepwise, plan, results)
 
 
+def test_decode_that_locates_an_unrecorded_item_builds_the_incidence_once(csr_builds):
+    # a desk support's measurements plus the columns of one item outside it,
+    # encoded on a copy of the plan: the decoder locates that item, which
+    # the plan's record lacks, and reads it from the incidence
+    N, K, t, d, margin = 2**16, 100, 1, 3, 1.6
+    res = design.optimize_design(t, d)
+    sizes = design.make_plan(N, K, res, margin=margin)
+    graph = sample_graph(N, sizes.M, sizes.r, res.profile, 1)
+    plan, other = TestPlan(graph, t), TestPlan(BipartiteGraph(N, graph.M, graph.r, graph.right_adj), t)
+    support = sample_support(N, K / N, 1)
+    extra = next(x for x in range(N) if x not in set(support.items.tolist()))
+    blocks = encode(plan, support).blocks + encode(other, SupportVector(N, np.array([extra]))).blocks
+    results = TestResults(blocks)
+    got = _decode_with_calls(peel_decode, plan, results)
+    assert extra + 1 in got[0]["identified"]  # the outcome's ids are 1-based
+    assert csr_builds == [graph]
+    assert got == _decode_with_calls(peel_decode_stepwise, plan, results)
+
+
 def test_peeler_matches_the_stepwise_oracle_at_the_desk_points():
     N, K = 2**16, 100
     for t, d, margin in [(1, 3, 1.6), (2, 3, 1.8), (3, 2, 1.5)]:

@@ -78,6 +78,15 @@ def test_worker_pool_bounded_by_chunks_and_cpus(monkeypatch, jobs, trials, cpus,
     assert got == run_plan_trials(2000, 20, 1, profile, 40, 150, trials, seed=11, jobs=1)
 
 
+def test_trials_build_no_incidence(csr_builds):
+    # each trial decodes the measurements it encoded on the same plan, so
+    # every item the decoder looks up was recorded by encode
+    profile = optimize_design(1, 3).profile
+    report = run_plan_trials(2000, 20, 1, profile, 40, 150, 5, seed=11)
+    assert report.total_defectives > report.unidentified
+    assert csr_builds == []
+
+
 def test_report_bookkeeping():
     profile = optimize_design(1, 3).profile
     rep = run_plan_trials(2000, 20, 1, profile, 40, 150, 25, seed=5)

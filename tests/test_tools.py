@@ -22,7 +22,7 @@ def other_src(tmp_path_factory):
     return src
 
 
-@pytest.mark.parametrize("layer", ["encode", "peel_decode"])
+@pytest.mark.parametrize("layer", ["encode", "peel_decode", "trial"])
 def test_paired_timing_runs_against_a_copy(other_src, layer):
     argv = [sys.executable, str(TESTS / "paired_timing.py"), str(other_src), layer, "--point", "desk1", "--pairs", "1", "--json"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
